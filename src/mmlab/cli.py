@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .classical import orbit_fourier, quantize, correspondence_report
 from .conditions import full_report
@@ -41,20 +41,6 @@ from .verify import format_results, run_all
 _FLOAT_KEYS = ("m", "omega", "hbar", "j0")
 _INT_KEYS = ("size", "basis_size", "alpha_max")
 _STR_KEYS = ("energy_rule", "out", "format")
-
-DEFAULTS = {
-    "m": 1.0,
-    "omega": 1.0,
-    "hbar": 1.0,
-    "size": 64,
-    "basis_size": None,
-    "coeffs": None,
-    "alpha_max": None,
-    "j0": 0.0,
-    "energy_rule": "mean",
-    "out": None,
-    "format": "json",
-}
 
 
 @dataclass
@@ -94,6 +80,12 @@ class RunConfig:
             raise ValueError("format must be 'json' or 'csv'")
         if self.mode in ("potential", "classical", "correspondence") and not self.coeffs:
             raise ValueError(f"mode '{self.mode}' requires --coeffs")
+
+
+#: Option defaults of the pipeline modes, read off the RunConfig fields.
+DEFAULTS = {
+    f.name: f.default for f in fields(RunConfig) if f.name not in ("mode", "perturb")
+}
 
 
 def _parse_coeffs(text: str) -> tuple:

@@ -43,9 +43,6 @@ from .spectral import (
     transition_frequencies,
 )
 
-#: Off-band magnitude above which a matrix no longer counts as nearest-neighbor.
-NEAREST_NEIGHBOR_TOL = 1e-12
-
 #: Imaginary leakage allowed in nominally real condition values, relative to hbar.
 REALNESS_TOL = 1e-10
 
@@ -70,36 +67,67 @@ def _check_window(n: int, size: int, alpha_max: int) -> None:
         )
 
 
-def _matrix_entry(matrix: np.ndarray, row: int, col: int) -> complex:
-    size = matrix.shape[0]
-    if 0 <= row < size and 0 <= col < size:
-        return complex(matrix[row, col])
-    return 0j
+def _product(a, b) -> np.ndarray:
+    """Elementwise a * b, rounded like a scalar Python complex product.
+
+    numpy's own complex multiply may fuse multiply-adds, which moves the last
+    bit; spelling out the real arithmetic keeps every state bit-identical to
+    a scalar loop.
+    """
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    out = np.asarray(ar * br - ai * bi, dtype=complex)
+    out.imag = ar * bi + ai * br
+    return out
 
 
-def _freq_entry(freq: FrequencyTable, row: int, col: int) -> float:
-    size = freq.size
-    if 0 <= row < size and 0 <= col < size:
-        return float(freq.omega[row, col])
-    return 0.0
+def _band(source, lo: int, hi: int, row: int, col: int) -> np.ndarray:
+    """Entries source(n + row, n + col) for n = lo..hi, read from one diagonal.
 
-
-def _heisenberg_sum_complex(source, freq, mass, n, alpha_max) -> complex:
+    Pairs outside the matrix read as zero.  An :class:`AmplitudeTable` source
+    raises ValueError for a pair inside the matrix that it did not record.
+    """
     if isinstance(source, AmplitudeTable):
-        size = source.size
-        entry = source.amplitude_for_pair
-    else:
-        matrix = np.asarray(source, dtype=complex)
-        size = matrix.shape[0]
-        entry = lambda r, c: _matrix_entry(matrix, r, c)  # noqa: E731
-    _check_window(n, size, alpha_max)
-    total = 0j
+        values = [source.amplitude_for_pair(n + row, n + col) for n in range(lo, hi + 1)]
+        return np.array(values, dtype=complex)
+    diagonal = np.diagonal(source, col - row)
+    start = lo + min(row, col)
+    out = np.zeros(hi - lo + 1, dtype=source.dtype)
+    first, stop = max(0, -start), min(out.size, diagonal.size - start)
+    if stop > first:
+        out[first:stop] = diagonal[start + first : start + stop]
+    return out
+
+
+def _band_sum(lo: int, hi: int, alpha_max: int, up, down) -> np.ndarray:
+    """Banded sums sum_a {T_up(a) - T_down(a)} for every state n = lo..hi at once.
+
+    Each term is a spec ``(left, right, weight, sign)`` that reads, at the jump
+    j = sign * a, the product L(n, n+j) R(n+j, n) w(n+j, n) along the j-th
+    diagonals; ``left=None`` reads L(n, n+j) as conj(R(n+j, n)) and
+    ``weight=None`` drops the frequency factor.  Jumps run from -alpha_max to
+    alpha_max and each step adds the up term, then subtracts the down term,
+    so every state is rounded exactly as a scalar loop in that order would be.
+    """
+
+    def term(spec, a):
+        left, right, weight, sign = spec
+        j = sign * a
+        r = _band(right, lo, hi, j, 0)
+        product = _product(r.conj() if left is None else _band(left, lo, hi, 0, j), r)
+        return product if weight is None else _product(product, _band(weight, lo, hi, j, 0))
+
+    total = np.zeros(hi - lo + 1, dtype=complex)
     for a in range(-alpha_max, alpha_max + 1):
-        up = entry(n + a, n)
-        total += up.conjugate() * up * _freq_entry(freq, n + a, n)
-        down = entry(n - a, n)
-        total -= down.conjugate() * down * _freq_entry(freq, n, n - a)
-    return mass * total
+        total += term(up, a)
+        total -= term(down, a)
+    return total
+
+
+def _frequency_sum(left, right, freq: FrequencyTable, mass, lo, hi, alpha_max) -> np.ndarray:
+    # m * sum_a {L(n,n+a) R(n+a,n) w(n+a,n) - L(n,n-a) R(n-a,n) w(n,n-a)}
+    w = freq.omega
+    total = _band_sum(lo, hi, alpha_max, (left, right, w, 1), (left, right, w.T, -1))
+    return _product(mass, total)
 
 
 def heisenberg_sum(source, freq: FrequencyTable, mass: float, n: int, alpha_max: int) -> float:
@@ -112,25 +140,13 @@ def heisenberg_sum(source, freq: FrequencyTable, mass: float, n: int, alpha_max:
     Equals hbar on the oscillator; collapses to zero on reality-constrained
     tables whose amplitudes have lost their state dependence.
     """
-    return float(_heisenberg_sum_complex(source, freq, mass, n, alpha_max).real)
-
-
-def _born_jordan_sum_complex(x, freq, mass, n, alpha_max) -> complex:
-    matrix = np.asarray(x, dtype=complex)
-    _check_window(n, matrix.shape[0], alpha_max)
-    total = 0j
-    for a in range(-alpha_max, alpha_max + 1):
-        total += (
-            _matrix_entry(matrix, n, n + a)
-            * _matrix_entry(matrix, n + a, n)
-            * _freq_entry(freq, n + a, n)
-        )
-        total -= (
-            _matrix_entry(matrix, n, n - a)
-            * _matrix_entry(matrix, n - a, n)
-            * _freq_entry(freq, n, n - a)
-        )
-    return mass * total
+    if isinstance(source, AmplitudeTable):
+        size = source.size
+    else:
+        source = np.asarray(source, dtype=complex)
+        size = source.shape[0]
+    _check_window(n, size, alpha_max)
+    return float(_frequency_sum(None, source, freq, mass, n, n, alpha_max)[0].real)
 
 
 def born_jordan_sum(x, freq: FrequencyTable, mass: float, n: int, alpha_max: int) -> float:
@@ -140,21 +156,9 @@ def born_jordan_sum(x, freq: FrequencyTable, mass: float, n: int, alpha_max: int
     squared moduli and this agrees with :func:`modified_sum` exactly; the two
     diverge on non-hermitian input.
     """
-    return float(_born_jordan_sum_complex(x, freq, mass, n, alpha_max).real)
-
-
-def _modified_sum_complex(x, freq, mass, n, alpha_max) -> complex:
     matrix = np.asarray(x, dtype=complex)
     _check_window(n, matrix.shape[0], alpha_max)
-    total = 0j
-    for a in range(-alpha_max, alpha_max + 1):
-        up = _matrix_entry(matrix, n + a, n)
-        total += (up.real * up.real + up.imag * up.imag) * _freq_entry(freq, n + a, n)
-        down = _matrix_entry(matrix, n - a, n)
-        total -= (down.real * down.real + down.imag * down.imag) * _freq_entry(
-            freq, n, n - a
-        )
-    return mass * total
+    return float(_frequency_sum(matrix, matrix, freq, mass, n, n, alpha_max)[0].real)
 
 
 def modified_sum(x, freq: FrequencyTable, mass: float, n: int, alpha_max: int) -> float:
@@ -163,22 +167,13 @@ def modified_sum(x, freq: FrequencyTable, mass: float, n: int, alpha_max: int) -
     The squared moduli implement X(n +- a, n) = conj(X(n, n +- a)); this is the
     reading under which the sum equals hbar for every interior state.
     """
-    return float(_modified_sum_complex(x, freq, mass, n, alpha_max).real)
+    return heisenberg_sum(np.asarray(x, dtype=complex), freq, mass, n, alpha_max)
 
 
-def _nearest_neighbor_rewrite_complex(x, mass, omega, n) -> complex:
-    matrix = np.asarray(x, dtype=complex)
-    size = matrix.shape[0]
-    if matrix_bandwidth(matrix, NEAREST_NEIGHBOR_TOL) > 1:
-        raise ValueError(
-            "the nearest-neighbor rewrite is only defined for matrices whose "
-            "entries beyond the first off-diagonal vanish"
-        )
-    _check_window(n, size, 0)
-    return mass * omega * (
-        _matrix_entry(matrix, n + 1, n) * _matrix_entry(matrix, n + 1, n + 2)
-        - _matrix_entry(matrix, n - 1, n) * _matrix_entry(matrix, n - 1, n - 2)
-    )
+def _nearest_neighbor_values(x, mass, omega, lo, hi) -> np.ndarray:
+    up = _product(_band(x, lo, hi, 1, 0), _band(x, lo, hi, 1, 2))
+    down = _product(_band(x, lo, hi, -1, 0), _band(x, lo, hi, -1, -2))
+    return _product(mass * omega, up - down)
 
 
 def nearest_neighbor_rewrite(x, mass: float, omega: float, n: int) -> float:
@@ -189,7 +184,21 @@ def nearest_neighbor_rewrite(x, mass: float, omega: float, n: int) -> float:
     hbar/sqrt(2) at n = 0 and hbar*sqrt(6)/2 at n = 1, approaching hbar only
     for large n, which is the quantitative witness of its invalidity.
     """
-    return float(_nearest_neighbor_rewrite_complex(x, mass, omega, n).real)
+    matrix = np.asarray(x, dtype=complex)
+    if matrix_bandwidth(matrix) > 1:
+        raise ValueError(
+            "the nearest-neighbor rewrite is only defined for matrices whose "
+            "entries beyond the first off-diagonal vanish"
+        )
+    _check_window(n, matrix.shape[0], 0)
+    return float(_nearest_neighbor_values(matrix, mass, omega, n, n)[0].real)
+
+
+def _checked_pair(x, p) -> tuple[np.ndarray, np.ndarray]:
+    xm, pm = np.asarray(x, dtype=complex), np.asarray(p, dtype=complex)
+    if pm.shape != xm.shape:
+        raise ValueError("matrix shapes disagree")
+    return xm, pm
 
 
 def commutator_diagonal_sum(x, p, n: int, alpha_max: int) -> complex:
@@ -197,16 +206,30 @@ def commutator_diagonal_sum(x, p, n: int, alpha_max: int) -> complex:
 
     Equals commutator(X, P)[n, n] once alpha_max spans every nonzero band.
     """
-    xm = np.asarray(x, dtype=complex)
-    pm = np.asarray(p, dtype=complex)
-    if pm.shape != xm.shape:
-        raise ValueError("matrix shapes disagree")
+    xm, pm = _checked_pair(x, p)
     _check_window(n, xm.shape[0], alpha_max)
-    total = 0j
-    for a in range(-alpha_max, alpha_max + 1):
-        total += _matrix_entry(pm, n + a, n) * _matrix_entry(xm, n, n + a)
-        total -= _matrix_entry(pm, n, n + a) * _matrix_entry(xm, n + a, n)
-    return total
+    return complex(_band_sum(n, n, alpha_max, (xm, pm, None, 1), (pm, xm, None, 1))[0])
+
+
+def _ordered_sum(terms: np.ndarray) -> complex:
+    # 0 + t0 + t1 + ... left to right, the rounding of a scalar accumulation loop
+    return complex(np.add.accumulate(np.concatenate(([0j], terms)))[-1])
+
+
+def _loop_integral_terms(x, p, freq: FrequencyTable, n: int, period: float, conjugate: bool):
+    # i w(n,k) P(n,k) X(k,n) (or P(k,n) X(n,k)) for k = N-1 down to 0, the order of a
+    # loop over a = n - k from n - N + 1 to n
+    xm, pm = _checked_pair(x, p)
+    size = xm.shape[0]
+    if not 0 <= n < size:
+        raise ValueError(f"state label {n} outside the system")
+    if period <= 0.0:
+        raise ValueError("period must be positive")
+    w = np.zeros(size)
+    if n < freq.size:
+        w[: freq.size] = freq.omega[n, :size]
+    p_part, x_part = (pm[:, n], xm[n, :]) if conjugate else (pm[n, :], xm[:, n])
+    return _product(_product(_product(1j, w), p_part), x_part)[::-1]
 
 
 def loop_integral_diagonal(x, p, freq: FrequencyTable, n: int, period: float) -> complex:
@@ -217,19 +240,8 @@ def loop_integral_diagonal(x, p, freq: FrequencyTable, n: int, period: float) ->
     in time and the loop integral over an interval T is just T times the sum.
     For the oscillator over one period this reproduces 2 pi E_n / omega.
     """
-    xm = np.asarray(x, dtype=complex)
-    pm = np.asarray(p, dtype=complex)
-    if pm.shape != xm.shape:
-        raise ValueError("matrix shapes disagree")
-    size = xm.shape[0]
-    if not 0 <= n < size:
-        raise ValueError(f"state label {n} outside the system")
-    if period <= 0.0:
-        raise ValueError("period must be positive")
-    total = 0j
-    for a in range(n - size + 1, n + 1):
-        total += 1j * _freq_entry(freq, n, n - a) * pm[n, n - a] * xm[n - a, n]
-    return -period * total
+    terms = _loop_integral_terms(x, p, freq, n, period, conjugate=False)
+    return -period * _ordered_sum(terms)
 
 
 def loop_integral_diagonal_conjugate(
@@ -240,19 +252,8 @@ def loop_integral_diagonal_conjugate(
     For hermitian X and P this is the complex conjugate of
     :func:`loop_integral_diagonal`.
     """
-    xm = np.asarray(x, dtype=complex)
-    pm = np.asarray(p, dtype=complex)
-    if pm.shape != xm.shape:
-        raise ValueError("matrix shapes disagree")
-    size = xm.shape[0]
-    if not 0 <= n < size:
-        raise ValueError(f"state label {n} outside the system")
-    if period <= 0.0:
-        raise ValueError("period must be positive")
-    total = 0j
-    for a in range(n - size + 1, n + 1):
-        total += 1j * _freq_entry(freq, n, n - a) * pm[n - a, n] * xm[n, n - a]
-    return period * total
+    terms = _loop_integral_terms(x, p, freq, n, period, conjugate=True)
+    return period * _ordered_sum(terms)
 
 
 def loop_integral_state_difference(x, p, n: int) -> complex:
@@ -262,19 +263,11 @@ def loop_integral_state_difference(x, p, n: int) -> complex:
     For hermitian X, P the two sums are complex conjugates, so the combination
     is real; away from the truncation edge it equals 2 pi hbar.
     """
-    xm = np.asarray(x, dtype=complex)
-    pm = np.asarray(p, dtype=complex)
-    if pm.shape != xm.shape:
-        raise ValueError("matrix shapes disagree")
-    size = xm.shape[0]
-    if not 0 <= n < size:
+    xm, pm = _checked_pair(x, p)
+    if not 0 <= n < xm.shape[0]:
         raise ValueError(f"state label {n} outside the system")
-    first = 0j
-    for a in range(-n, size - n):
-        first += pm[n + a, n] * xm[n, n + a]
-    second = 0j
-    for a in range(n - size + 1, n + 1):
-        second += pm[n, n - a] * xm[n - a, n]
+    first = _ordered_sum(_product(pm[:, n], xm[n, :]))
+    second = _ordered_sum(_product(pm[n, :], xm[:, n])[::-1])
     return -2j * math.pi * first + 2j * math.pi * second
 
 
@@ -374,12 +367,14 @@ class ConditionReport:
     edge_diag: complex
 
 
-def _real_or_raise(value: complex, hbar: float, label: str) -> float:
-    if abs(value.imag) > REALNESS_TOL * hbar:
+def _real_or_raise(values: np.ndarray, hbar: float, label: str) -> list[float]:
+    leaks = np.flatnonzero(np.abs(values.imag) > REALNESS_TOL * hbar)
+    if leaks.size:
         raise NumericalError(
-            f"{label} has imaginary part {value.imag:.3e} beyond {REALNESS_TOL} * hbar"
+            f"{label} has imaginary part {values.imag[leaks[0]]:.3e} beyond "
+            f"{REALNESS_TOL} * hbar"
         )
-    return float(value.real)
+    return values.real.tolist()
 
 
 def full_report(
@@ -389,8 +384,8 @@ def full_report(
 
     The evaluation window is 0 <= n <= N - 1 - alpha_max; the default
     alpha_max is the band beyond which all X entries drop below 1e-12 (at
-    least 1).  Rows are computed in a fixed order so identical inputs yield
-    identical reports.
+    least 1).  Each formulation is one band pass over the whole window, in a
+    fixed order, so identical inputs yield identical reports.
     """
     if pair.size != system.size:
         raise ValueError("matrix pair and system sizes disagree")
@@ -401,8 +396,9 @@ def full_report(
     hbar = system.constants.hbar
     omega = system.constants.omega
     freq = transition_frequencies(system)
+    band = matrix_bandwidth(x)
     if alpha_max is None:
-        alpha_max = max(1, matrix_bandwidth(x))
+        alpha_max = max(1, band)
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
     window_hi = size - 1 - alpha_max
@@ -412,47 +408,40 @@ def full_report(
     comm = commutator(x, p)
     table = to_amplitude_table(x, (0, size - 1), alpha_max)
     constrained = impose_heisenberg_reality(table)
-    nn_banded = matrix_bandwidth(x, NEAREST_NEIGHBOR_TOL) <= 1
+
+    def window_sum(left, right, label):
+        values = _frequency_sum(left, right, freq, mass, 0, window_hi, alpha_max)
+        return _real_or_raise(values, hbar, label)
+
+    eq4_h = window_sum(None, x, "eq4_hermitian")
+    eq4_c = window_sum(None, constrained, "eq4_constrained")
+    eq14 = window_sum(x, x, "eq14")
+    # eq25 reads the same squared moduli from the matrix as eq4_hermitian
+    eq25 = eq4_h
+    if band <= 1:
+        bj = _real_or_raise(
+            _nearest_neighbor_values(x, mass, omega, 0, window_hi), hbar, "bj_alternative"
+        )
+    else:
+        bj = [math.nan] * (window_hi + 1)
 
     rows = []
     for n in range(window_hi + 1):
-        eq4_h = _real_or_raise(
-            _heisenberg_sum_complex(x, freq, mass, n, alpha_max), hbar, "eq4_hermitian"
-        )
-        eq4_c = _real_or_raise(
-            _heisenberg_sum_complex(constrained, freq, mass, n, alpha_max),
-            hbar,
-            "eq4_constrained",
-        )
-        eq14 = _real_or_raise(
-            _born_jordan_sum_complex(x, freq, mass, n, alpha_max), hbar, "eq14"
-        )
-        eq25 = _real_or_raise(
-            _modified_sum_complex(x, freq, mass, n, alpha_max), hbar, "eq25"
-        )
-        if nn_banded:
-            bj = _real_or_raise(
-                _nearest_neighbor_rewrite_complex(x, mass, omega, n),
-                hbar,
-                "bj_alternative",
-            )
-        else:
-            bj = math.nan
         diag = complex(comm[n, n])
         rows.append(
             ConditionRow(
                 n=n,
-                eq4_hermitian=eq4_h,
-                eq4_constrained=eq4_c,
-                eq14=eq14,
-                eq25=eq25,
-                bj_alternative=bj,
+                eq4_hermitian=eq4_h[n],
+                eq4_constrained=eq4_c[n],
+                eq14=eq14[n],
+                eq25=eq25[n],
+                bj_alternative=bj[n],
                 commutator_diag=diag,
-                residual_eq4_hermitian=eq4_h - hbar,
-                residual_eq4_constrained=eq4_c - hbar,
-                residual_eq14=eq14 - hbar,
-                residual_eq25=eq25 - hbar,
-                residual_bj_alternative=bj - hbar,
+                residual_eq4_hermitian=eq4_h[n] - hbar,
+                residual_eq4_constrained=eq4_c[n] - hbar,
+                residual_eq14=eq14[n] - hbar,
+                residual_eq25=eq25[n] - hbar,
+                residual_bj_alternative=bj[n] - hbar,
                 residual_commutator=diag - 1j * hbar,
             )
         )

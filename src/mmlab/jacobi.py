@@ -6,8 +6,9 @@ Givens rotations until the off-diagonal Frobenius norm drops below
 the eigenvalues) and accurate enough for dense matrices up to a few hundred
 rows, which is all the basis-set builders need.
 
-A numba-compiled kernel is used when available; a pure numpy fallback with
-identical sweep order covers environments without a working JIT.
+A numba-compiled kernel is used when numba is installed; without it the same
+sweep function runs as interpreted pure-Python loops, with identical sweep
+order and results but much more slowly.
 """
 
 from __future__ import annotations

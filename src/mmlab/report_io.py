@@ -71,12 +71,13 @@ def _condition_row_record(row) -> dict:
     }
 
 
+def _rounded_rows(keys, records) -> list[dict]:
+    return [{key: _round15(record[key]) for key in keys} for record in records]
+
+
 def condition_report_payload(report: ConditionReport) -> dict:
     """Plain-dict form of a condition report with floats rounded to 15 digits."""
-    rows = []
-    for row in report.rows:
-        record = _condition_row_record(row)
-        rows.append({key: _round15(record[key]) for key in CONDITION_ROW_KEYS})
+    records = [_condition_row_record(row) for row in report.rows]
     return {
         "system": {
             "kind": report.system_kind,
@@ -88,7 +89,7 @@ def condition_report_payload(report: ConditionReport) -> dict:
             "size": report.size,
         },
         "window": [report.window[0], report.window[1]],
-        "rows": rows,
+        "rows": _rounded_rows(CONDITION_ROW_KEYS, records),
         "offdiag_max": _round15(report.offdiag_max),
         "trace_re": _round15(report.trace_commutator.real),
         "trace_im": _round15(report.trace_commutator.imag),
@@ -96,22 +97,27 @@ def condition_report_payload(report: ConditionReport) -> dict:
     }
 
 
-def _rows_to_csv(keys, records) -> bytes:
-    lines = [",".join(keys)]
-    for record in records:
-        lines.append(",".join(_csv_cell(record[key]) for key in keys))
-    return ("\n".join(lines) + "\n").encode("ascii")
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("ascii")
+
+
+def _serialize_rows(keys, records, fmt: str) -> bytes:
+    """Encode flat row records as JSON ``{"rows": [...]}`` or as CSV with a header line."""
+    if fmt == "json":
+        return _json_bytes({"rows": _rounded_rows(keys, records)})
+    if fmt == "csv":
+        lines = [",".join(keys)]
+        lines += [",".join(_csv_cell(record[key]) for key in keys) for record in records]
+        return ("\n".join(lines) + "\n").encode("ascii")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def serialize_report(report: ConditionReport, fmt: str = "json") -> bytes:
     """Serialize a condition report to JSON or CSV bytes."""
     if fmt == "json":
-        payload = condition_report_payload(report)
-        return (json.dumps(payload, separators=(",", ":")) + "\n").encode("ascii")
-    if fmt == "csv":
-        records = [_condition_row_record(row) for row in report.rows]
-        return _rows_to_csv(CONDITION_ROW_KEYS, records)
-    raise ValueError(f"unknown format {fmt!r}")
+        return _json_bytes(condition_report_payload(report))
+    records = [_condition_row_record(row) for row in report.rows]
+    return _serialize_rows(CONDITION_ROW_KEYS, records, fmt)
 
 
 CLASSICAL_ROW_KEYS_BASE = (
@@ -149,12 +155,7 @@ def serialize_classical(
         for a in range(alpha_max + 1):
             record[f"fourier_{a}"] = orbit.fourier[a].real if orbit else math.nan
         records.append(record)
-    if fmt == "json":
-        rows = [{k: _round15(r[k]) for k in keys} for r in records]
-        return (json.dumps({"rows": rows}, separators=(",", ":")) + "\n").encode("ascii")
-    if fmt == "csv":
-        return _rows_to_csv(keys, records)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _serialize_rows(keys, records, fmt)
 
 
 CORRESPONDENCE_ROW_KEYS = (
@@ -176,12 +177,7 @@ def serialize_correspondence(reports: list[CorrespondenceReport], fmt: str = "js
     for report in reports:
         for row in report.rows:
             records.append({key: getattr(row, key) for key in CORRESPONDENCE_ROW_KEYS})
-    if fmt == "json":
-        rows = [{k: _round15(r[k]) for k in CORRESPONDENCE_ROW_KEYS} for r in records]
-        return (json.dumps({"rows": rows}, separators=(",", ":")) + "\n").encode("ascii")
-    if fmt == "csv":
-        return _rows_to_csv(CORRESPONDENCE_ROW_KEYS, records)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _serialize_rows(CORRESPONDENCE_ROW_KEYS, records, fmt)
 
 
 def write_atomic(path: str, data: bytes) -> None:

@@ -22,7 +22,8 @@ from .jacobi import jacobi_eigh
 #: Relative Frobenius defect accepted before a matrix stops counting as hermitian.
 HERMITICITY_TOL = 1e-12
 
-#: Entries smaller than this are treated as structural zeros when banding is probed.
+#: Entries smaller than this are treated as structural zeros when banding is probed,
+#: including the nearest-neighbor test of the condition rewrite.
 BAND_CUTOFF = 1e-12
 
 
@@ -153,14 +154,10 @@ def momentum_from_position(x, freq: FrequencyTable, mass: float) -> np.ndarray:
 
 
 def matrix_bandwidth(x, cutoff: float = BAND_CUTOFF) -> int:
-    """Largest |row - column| carrying an entry of magnitude >= cutoff."""
-    xm = np.asarray(x)
-    n = xm.shape[0]
-    band = 0
-    for b in range(1, n):
-        if np.max(np.abs(np.diagonal(xm, b))) >= cutoff:
-            band = b
-    return band
+    """Largest |row - column| carrying an entry of magnitude >= cutoff, on either side
+    of the diagonal; 0 when no off-diagonal entry reaches the cutoff."""
+    rows, cols = np.nonzero(np.abs(np.asarray(x)) >= cutoff)
+    return int(np.max(np.abs(rows - cols), initial=0))
 
 
 @dataclass(frozen=True)

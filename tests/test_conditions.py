@@ -4,6 +4,31 @@ import numpy as np
 import pytest
 
 import mmlab as M
+from mmlab import conditions
+
+
+def reference_sum(name, x, p, w, n, jumps):
+    """Direct loop of a docstring formula over the jumps: its sum and its term magnitudes."""
+
+    def at(m, r, c):  # pairs off the matrix read as zero
+        return m[r, c] if 0 <= r < len(m) and 0 <= c < len(m) else 0j
+
+    total, scale = 0j, 0.0
+    for a in jumps:
+        up, down = {  # (added, subtracted) term at jump a
+            "heisenberg": (abs(at(x, n + a, n)) ** 2 * at(w, n + a, n),
+                           abs(at(x, n - a, n)) ** 2 * at(w, n, n - a)),
+            "born_jordan": (at(x, n, n + a) * at(x, n + a, n) * at(w, n + a, n),
+                            at(x, n, n - a) * at(x, n - a, n) * at(w, n, n - a)),
+            "commutator": (at(p, n + a, n) * at(x, n, n + a), at(p, n, n + a) * at(x, n + a, n)),
+            "loop": (-1j * at(w, n, n - a) * at(p, n, n - a) * at(x, n - a, n), 0.0),
+            "loop_conjugate": (1j * at(w, n, n - a) * at(p, n - a, n) * at(x, n, n - a), 0.0),
+            "state_difference": (-2j * math.pi * at(p, n + a, n) * at(x, n, n + a),
+                                 -2j * math.pi * at(p, n, n - a) * at(x, n - a, n)),
+        }[name]
+        total += up - down
+        scale += abs(up) + abs(down)
+    return total, scale
 
 
 @pytest.fixture(scope="module")
@@ -11,6 +36,38 @@ def osc8_parts(osc8):
     system, pair = osc8
     freq = M.transition_frequencies(system)
     return system, pair, freq
+
+
+class TestReferenceDoubleLoop:
+    @pytest.mark.parametrize("size", [5, 12, 33])
+    def test_public_sums_match_the_docstring_formulas(self, size):
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        p = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        energies = np.sort(rng.uniform(0.0, 5.0, size))
+        freq = M.transition_frequencies(M.SpectralSystem(M.PhysicalConstants(), energies))
+        mass, period = 1.7, 2.5
+
+        def check(value, name, n, jumps, factor=1.0):
+            expected, scale = reference_sum(name, x, p, freq.omega, n, jumps)
+            expected = factor * (expected.real if isinstance(value, float) else expected)
+            assert abs(value - expected) <= 1e-13 * abs(factor) * scale
+
+        for alpha in range(5):
+            jumps = range(-alpha, alpha + 1)
+            for n in range(size - alpha):  # n = 0 .. window_hi
+                check(M.heisenberg_sum(x, freq, mass, n, alpha), "heisenberg", n, jumps, mass)
+                check(M.modified_sum(x, freq, mass, n, alpha), "heisenberg", n, jumps, mass)
+                check(M.born_jordan_sum(x, freq, mass, n, alpha), "born_jordan", n, jumps, mass)
+                check(M.commutator_diagonal_sum(x, p, n, alpha), "commutator", n, jumps)
+        every_jump = range(-size, size + 1)
+        for n in range(size):
+            value = M.loop_integral_diagonal(x, p, freq, n, period)
+            check(value, "loop", n, every_jump, period)
+            value = M.loop_integral_diagonal_conjugate(x, p, freq, n, period)
+            check(value, "loop_conjugate", n, every_jump, period)
+            value = M.loop_integral_state_difference(x, p, n)
+            check(value, "state_difference", n, every_jump)
 
 
 class TestCommutator:
@@ -170,6 +227,12 @@ class TestNearestNeighborRewrite:
         with pytest.raises(ValueError):
             M.nearest_neighbor_rewrite(pair.x, 1.0, 1.0, 0)
 
+    def test_rejects_band_below_the_diagonal(self):
+        x = np.zeros((6, 6), dtype=complex)
+        x[4, 1] = 1.0
+        with pytest.raises(ValueError):
+            M.nearest_neighbor_rewrite(x, 1.0, 1.0, 0)
+
 
 class TestCommutatorDiagonalSum:
     def test_matches_commutator(self, osc8_parts):
@@ -307,6 +370,50 @@ class TestFullReport:
         for row in report.rows:
             assert abs(row.residual_eq25) <= 1e-8
             assert abs(row.residual_commutator) <= 1e-8
+
+    @pytest.mark.parametrize("fixture, alpha_max", [("osc64", None), ("quartic40", 9)])
+    def test_rows_equal_public_functions_bitwise(self, request, fixture, alpha_max):
+        system, pair = request.getfixturevalue(fixture)
+        report = M.full_report(system, pair, alpha_max)
+        freq = M.transition_frequencies(system)
+        mass, omega = system.constants.mass, system.constants.omega
+        table = M.to_amplitude_table(pair.x, (0, system.size - 1), report.alpha_max)
+        constrained = M.impose_heisenberg_reality(table)
+        comm = M.commutator(pair.x, pair.p)
+        for row in report.rows:
+            n, amax = row.n, report.alpha_max
+            try:
+                bj = M.nearest_neighbor_rewrite(pair.x, mass, omega, n)
+            except ValueError:
+                bj = math.nan
+            expected = (
+                M.heisenberg_sum(pair.x, freq, mass, n, amax),
+                M.heisenberg_sum(constrained, freq, mass, n, amax),
+                M.born_jordan_sum(pair.x, freq, mass, n, amax),
+                M.modified_sum(pair.x, freq, mass, n, amax),
+                bj,
+                complex(comm[n, n]),
+            )
+            actual = (
+                row.eq4_hermitian,
+                row.eq4_constrained,
+                row.eq14,
+                row.eq25,
+                row.bj_alternative,
+                row.commutator_diag,
+            )
+            assert repr(actual) == repr(expected)
+
+    def test_probes_bandwidth_once(self, osc64, monkeypatch):
+        calls = []
+
+        def counting(x, *args):
+            calls.append(1)
+            return M.matrix_bandwidth(x, *args)
+
+        monkeypatch.setattr(conditions, "matrix_bandwidth", counting)
+        M.full_report(*osc64)
+        assert len(calls) == 1
 
     def test_rephasing_leaves_commutator_rows(self, osc8):
         system, pair = osc8

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mmlab as M
+from mmlab.spectral import BAND_CUTOFF
 
 QUARTIC_COEFFS = (0.0, 0.0, 0.5, 0.0, 0.05)
 
@@ -170,6 +171,28 @@ class TestAmplitudeTable:
         assert table.amplitude_for_pair(0, -1) == 0j  # outside the matrix
         with pytest.raises(ValueError):
             table.amplitude_for_pair(5, 4)  # inside the matrix, outside the window
+
+
+class TestMatrixBandwidth:
+    def test_lower_triangle_only(self):
+        x = np.zeros((6, 6))
+        x[4, 1] = 1.0
+        assert M.matrix_bandwidth(x) == 3
+
+    def test_upper_triangle_only(self):
+        x = np.zeros((6, 6))
+        x[1, 4] = 1.0
+        assert M.matrix_bandwidth(x) == 3
+
+    def test_diagonal_only(self):
+        assert M.matrix_bandwidth(np.diag([1.0, -2.0, 3.0j])) == 0
+
+    def test_entry_exactly_at_cutoff_counts(self):
+        x = np.eye(5, dtype=complex)
+        x[0, 2] = BAND_CUTOFF
+        assert M.matrix_bandwidth(x) == 2
+        x[0, 2] = np.nextafter(BAND_CUTOFF, 0.0)
+        assert M.matrix_bandwidth(x) == 0
 
 
 class TestPolynomialPotential:
