@@ -18,6 +18,7 @@ failure, 4 verification-suite failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -206,6 +207,12 @@ def _run_classical(config: RunConfig) -> None:
     levels = []
     for n in range(config.size):
         result = quantize(potential, config.m, config.hbar, config.j0, n)
+        if not result.converged:
+            target = n * 2.0 * math.pi * config.hbar + config.j0
+            raise NumericalError(
+                f"quantization of level n = {n} did not converge: "
+                f"|J - target| = {abs(result.action - target):.3e}"
+            )
         if result.energy > v_min:
             orbit = orbit_fourier(potential, result.energy, config.m, alpha_max)
         else:

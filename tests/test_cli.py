@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -50,6 +51,24 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli._PIPELINES, "oscillator", boom)
         assert run_cli(["oscillator", "--size", "8"]) == 3
+
+    def test_unconverged_quantization_maps_to_three(self, monkeypatch, tmp_path, capsys):
+        real_quantize = cli.quantize
+
+        def stalled(potential, mass, hbar, offset, n):
+            result = real_quantize(potential, mass, hbar, offset, n)
+            if n < 2:
+                return result
+            return dataclasses.replace(result, action=result.action + 0.5, converged=False)
+
+        monkeypatch.setattr(cli, "quantize", stalled)
+        out = tmp_path / "c.json"
+        code = run_cli(["classical", "--coeffs", "0,0,0.5", "--size", "3", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "level n = 2 did not converge" in err
+        assert "|J - target| = 5.000e-01" in err
+        assert not out.exists()
 
 
 class TestReportSchema:

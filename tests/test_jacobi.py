@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from mmlab import NumericalError, jacobi_eigh
+import mmlab as M
+from mmlab import NumericalError, jacobi_eigh, spectral
+
+QUARTIC_COEFFS = (0.0, 0.0, 0.5, 0.0, 0.05)
+SEXTIC_COEFFS = (0.0, 0.1, 0.5, -0.05, 0.1, 0.01, 0.005)
+
+
+def assert_matches_lapack(s, w, v):
+    # LAPACK as the oracle: eigenvalues to 1e-13 ||S||_F, vectors to 1e-11 up to sign
+    w_ref, v_ref = np.linalg.eigh(s)
+    assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.linalg.norm(s)
+    signs = np.sign(np.sum(v * v_ref, axis=0))
+    assert np.max(np.abs(v - v_ref * signs)) <= 1e-11
 
 
 def test_diagonal_matrix_sorted():
@@ -64,3 +76,41 @@ def test_zero_and_single_entry():
     assert np.array_equal(w, np.zeros(3))
     w, v = jacobi_eigh(np.array([[4.0]]))
     assert w[0] == 4.0 and v[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 48, 161])
+def test_matches_lapack_on_random_symmetric(n):
+    # odd sizes give one index a bye in every round-robin round
+    rng = np.random.default_rng(100 + n)
+    s = rng.standard_normal((n, n))
+    s = s + s.T
+    assert_matches_lapack(s, *jacobi_eigh(s))
+
+
+@pytest.mark.parametrize(
+    "coeffs, basis_size", [(QUARTIC_COEFFS, 160), (SEXTIC_COEFFS, 48)], ids=["quartic", "sextic"]
+)
+def test_matches_lapack_on_potential_hamiltonians(monkeypatch, constants, coeffs, basis_size):
+    solves = []
+
+    def recording_eigh(hamiltonian):
+        result = jacobi_eigh(hamiltonian)
+        solves.append((np.array(hamiltonian), result))
+        return result
+
+    monkeypatch.setattr(spectral, "jacobi_eigh", recording_eigh)
+    M.build_from_potential(M.PolynomialPotential(coeffs), constants, basis_size, basis_size // 4)
+    ((hamiltonian, (w, v)),) = solves
+    assert_matches_lapack(hamiltonian, w, v)
+
+
+def test_repeated_eigenvalues():
+    u = np.array([1.0, 2.0, 3.0, 4.0])
+    householder = np.eye(4) - 2.0 * np.outer(u, u) / (u @ u)
+    s = householder @ np.diag([1.0, 1.0, 2.0, 2.0]) @ householder.T
+    s = 0.5 * (s + s.T)
+    w, v = jacobi_eigh(s)
+    fro = np.linalg.norm(s)
+    assert np.max(np.abs(w - [1.0, 1.0, 2.0, 2.0])) <= 1e-13 * fro
+    assert np.max(np.linalg.norm(s @ v - v * w[None, :], axis=0)) <= 1e-11 * fro
+    assert np.linalg.norm(v.T @ v - np.eye(4)) <= 1e-11
