@@ -6,6 +6,14 @@ square-root endpoint singularity of the period and action integrands is
 removed with the substitution x = mid + half * sin(theta), after which
 Gauss-Legendre quadrature converges spectrally.  Orbits start at the right
 turning point with zero velocity, which makes every Fourier coefficient real.
+
+The scalar hot loops (turning-point bracketing and bisection, the RK4 force
+evaluations) run in Python floats: V and V' are evaluated by a Horner loop
+from the leading coefficient, which performs the same IEEE operations in the
+same order as ``np.polynomial.polynomial.polyval`` on a scalar and so is
+bit-identical to it.  The potential minimum is solved once per potential
+instance, and ``orbit_fourier`` solves its turning points once, sharing them
+with the period quadrature.
 """
 
 from __future__ import annotations
@@ -27,8 +35,30 @@ ENERGY_DRIFT_TOL = 1e-8
 
 @lru_cache(maxsize=8)
 def _gauss_rule(nodes: int):
+    """Gauss-Legendre nodes mapped to theta in [-pi/2, pi/2]: (sin, cos, weights)."""
     t, w = np.polynomial.legendre.leggauss(nodes)
-    return t, w
+    theta = 0.5 * math.pi * t
+    return np.sin(theta), np.cos(theta), w
+
+
+def _descending(coefficients: np.ndarray) -> tuple[float, tuple[float, ...]]:
+    """Leading coefficient and the rest, highest degree first, as Python floats."""
+    desc = coefficients.tolist()[::-1]
+    return desc[0], tuple(desc[1:])
+
+
+def _horner(top: float, rest: tuple[float, ...], x: float) -> float:
+    """Scalar Horner evaluation from the leading coefficient.
+
+    Performs the IEEE operations of ``np.polynomial.polynomial.polyval`` on a
+    scalar in the same order, so the result is bit-identical to it whenever
+    the leading coefficient is positive (polyval's first step, ``c[-1] +
+    x * 0``, then returns ``c[-1]`` unchanged).
+    """
+    value = top
+    for c in rest:
+        value = c + value * x
+    return value
 
 
 def turning_points(potential: PolynomialPotential, energy: float) -> tuple[float, float]:
@@ -56,13 +86,14 @@ def turning_points(potential: PolynomialPotential, energy: float) -> tuple[float
             f"{len(distinct)} turning points at energy {energy}; "
             "below-barrier multi-well orbits are not supported"
         )
+    top, rest = _descending(potential.coefficients)
 
     def crossing(direction: float) -> float:
         step = max(1.0, abs(x_min))
         inner = x_min
         outer = x_min + direction * step
         expansions = 0
-        while potential(outer) < energy:
+        while _horner(top, rest, outer) < energy:
             inner = outer
             step *= 2.0
             outer = x_min + direction * step
@@ -70,45 +101,55 @@ def turning_points(potential: PolynomialPotential, energy: float) -> tuple[float
             if expansions > 200:
                 raise NumericalError("turning-point bracket expansion failed")
         lo, hi = (inner, outer) if direction > 0 else (outer, inner)
+        f_hi = _horner(top, rest, hi) - energy
         for _ in range(BISECTION_ITERATIONS):
             mid = 0.5 * (lo + hi)
-            if (potential(mid) - energy) * (potential(hi) - energy) <= 0.0:
+            f_mid = _horner(top, rest, mid) - energy
+            if f_mid * f_hi <= 0.0:
+                if mid == lo:
+                    break  # (lo, hi) is a fixed point: every later step repeats this one
                 lo = mid
             else:
-                hi = mid
+                if mid == hi:
+                    break
+                hi, f_hi = mid, f_mid
         return 0.5 * (lo + hi)
 
     return crossing(-1.0), crossing(+1.0)
 
 
-def _well_samples(potential, energy, nodes):
-    x_lo, x_hi = turning_points(potential, energy)
+def _well_samples(potential, energy, nodes, x_lo, x_hi):
     mid = 0.5 * (x_lo + x_hi)
     half = 0.5 * (x_hi - x_lo)
-    t, w = _gauss_rule(nodes)
-    theta = 0.5 * math.pi * t
-    x = mid + half * np.sin(theta)
+    sin_theta, cos_theta, w = _gauss_rule(nodes)
+    x = mid + half * sin_theta
     gap = energy - potential(x)
     if np.any(gap <= 0.0):
         raise NumericalError("potential exceeds the energy inside the well")
-    return half, theta, w, gap
+    return half * cos_theta, w, gap
+
+
+def _period(potential, energy, mass, nodes, x_lo, x_hi) -> float:
+    jacobian, w, gap = _well_samples(potential, energy, nodes, x_lo, x_hi)
+    integrand = jacobian * np.sqrt(mass / (2.0 * gap))
+    return float(2.0 * 0.5 * math.pi * np.dot(w, integrand))
 
 
 def orbit_period(
     potential: PolynomialPotential, energy: float, mass: float, nodes: int = GAUSS_NODES
 ) -> float:
     """Period T = 2 integral dx sqrt(m / (2 (E - V(x)))) over one libration."""
-    half, theta, w, gap = _well_samples(potential, energy, nodes)
-    integrand = half * np.cos(theta) * np.sqrt(mass / (2.0 * gap))
-    return float(2.0 * 0.5 * math.pi * np.dot(w, integrand))
+    return _period(potential, energy, mass, nodes, *turning_points(potential, energy))
 
 
 def action_direct(
     potential: PolynomialPotential, energy: float, mass: float, nodes: int = GAUSS_NODES
 ) -> float:
     """Action J = 2 integral dx sqrt(2 m (E - V(x))), the loop integral of p dx."""
-    half, theta, w, gap = _well_samples(potential, energy, nodes)
-    integrand = half * np.cos(theta) * np.sqrt(2.0 * mass * gap)
+    jacobian, w, gap = _well_samples(
+        potential, energy, nodes, *turning_points(potential, energy)
+    )
+    integrand = jacobian * np.sqrt(2.0 * mass * gap)
     return float(2.0 * 0.5 * math.pi * np.dot(w, integrand))
 
 
@@ -168,31 +209,26 @@ def orbit_fourier(
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
     x_lo, x_hi = turning_points(potential, energy)
-    period = orbit_period(potential, energy, mass, nodes)
-    dcoef = np.polynomial.polynomial.polyder(potential.coefficients)
-    desc = tuple(float(c) for c in dcoef[::-1])
-
-    def acceleration(pos: float) -> float:
-        slope = 0.0
-        for c in desc:
-            slope = slope * pos + c
-        return -slope / mass
-
+    period = _period(potential, energy, mass, nodes, x_lo, x_hi)
+    top, rest = _descending(np.polynomial.polynomial.polyder(potential.coefficients))
     dt = period / rk_steps
-    samples = np.empty(rk_steps)
+    half_dt = 0.5 * dt
+    sixth_dt = dt / 6.0
+    samples = []
     x, v = x_hi, 0.0
-    for j in range(rk_steps):
-        samples[j] = x
+    for _ in range(rk_steps):
+        samples.append(x)
         k1x = v
-        k1v = acceleration(x)
-        k2x = v + 0.5 * dt * k1v
-        k2v = acceleration(x + 0.5 * dt * k1x)
-        k3x = v + 0.5 * dt * k2v
-        k3v = acceleration(x + 0.5 * dt * k2x)
+        k1v = -_horner(top, rest, x) / mass
+        k2x = v + half_dt * k1v
+        k2v = -_horner(top, rest, x + half_dt * k1x) / mass
+        k3x = v + half_dt * k2v
+        k3v = -_horner(top, rest, x + half_dt * k2x) / mass
         k4x = v + dt * k3v
-        k4v = acceleration(x + dt * k3x)
-        x += dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        k4v = -_horner(top, rest, x + dt * k3x) / mass
+        x += sixth_dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        v += sixth_dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    samples = np.array(samples)
     drift = abs(0.5 * mass * v * v + float(potential(x)) - energy)
     if drift > ENERGY_DRIFT_TOL * max(abs(energy), 1e-30):
         raise NumericalError(
@@ -287,8 +323,6 @@ def quantize(
     tolerance = 1e-10 * h
     iterations = 0
     converged = False
-    energy = e_hi
-    action = action_direct(potential, energy, mass)
     while iterations < 200:
         energy = 0.5 * (e_lo + e_hi)
         action = action_direct(potential, energy, mass)

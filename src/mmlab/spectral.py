@@ -299,7 +299,14 @@ class PolynomialPotential:
         )
 
     def minimum(self) -> tuple[float, float]:
-        """Location and value of the global minimum."""
+        """Location and value of the global minimum, solved once per instance."""
+        cached = self.__dict__.get("_minimum")
+        if cached is None:
+            cached = self._solve_minimum()
+            object.__setattr__(self, "_minimum", cached)
+        return cached
+
+    def _solve_minimum(self) -> tuple[float, float]:
         dcoef = np.polynomial.polynomial.polyder(self.coefficients)
         roots = np.polynomial.polynomial.polyroots(dcoef)
         candidates = [r.real for r in np.atleast_1d(roots) if abs(r.imag) <= 1e-9 * (1.0 + abs(r))]

@@ -207,3 +207,235 @@ class TestCorrespondence:
             M.correspondence_report(pair, system, SHO, 7, 1)
         with pytest.raises(ValueError):
             M.correspondence_report(pair, system, SHO, 5, 1, "median")
+
+
+# Reference copy of the classical layer as it was before its scalar loops moved
+# to Python floats: every V evaluation through polyval, the minimum solved on
+# each call, the turning points solved again for the period, and the closure
+# acceleration.  The shipped functions must reproduce it bit for bit.
+
+
+def _ref_minimum(potential):
+    dcoef = np.polynomial.polynomial.polyder(potential.coefficients)
+    roots = np.polynomial.polynomial.polyroots(dcoef)
+    candidates = [r.real for r in np.atleast_1d(roots) if abs(r.imag) <= 1e-9 * (1.0 + abs(r))]
+    if not candidates:
+        candidates = [0.0]
+    values = [float(potential(x)) for x in candidates]
+    best = int(np.argmin(values))
+    return float(candidates[best]), values[best]
+
+
+def _ref_turning_points(potential, energy):
+    x_min, v_min = _ref_minimum(potential)
+    if not energy > v_min:
+        raise ValueError(f"energy {energy} does not exceed the potential minimum {v_min}")
+    shifted = potential.coefficients.copy()
+    shifted[0] -= energy
+    roots = np.polynomial.polynomial.polyroots(shifted)
+    real = sorted(
+        r.real for r in np.atleast_1d(roots) if abs(r.imag) <= 1e-8 * (1.0 + abs(r))
+    )
+    distinct = []
+    for r in real:
+        if not distinct or abs(r - distinct[-1]) > 1e-8 * (1.0 + abs(r)):
+            distinct.append(r)
+    if len(distinct) > 2:
+        raise M.UnsupportedTopologyError(
+            f"{len(distinct)} turning points at energy {energy}; "
+            "below-barrier multi-well orbits are not supported"
+        )
+
+    def crossing(direction):
+        step = max(1.0, abs(x_min))
+        inner = x_min
+        outer = x_min + direction * step
+        expansions = 0
+        while potential(outer) < energy:
+            inner = outer
+            step *= 2.0
+            outer = x_min + direction * step
+            expansions += 1
+            if expansions > 200:
+                raise M.NumericalError("turning-point bracket expansion failed")
+        lo, hi = (inner, outer) if direction > 0 else (outer, inner)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if (potential(mid) - energy) * (potential(hi) - energy) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    return crossing(-1.0), crossing(+1.0)
+
+
+def _ref_well_samples(potential, energy, nodes):
+    x_lo, x_hi = _ref_turning_points(potential, energy)
+    mid = 0.5 * (x_lo + x_hi)
+    half = 0.5 * (x_hi - x_lo)
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    theta = 0.5 * math.pi * t
+    x = mid + half * np.sin(theta)
+    gap = energy - potential(x)
+    if np.any(gap <= 0.0):
+        raise M.NumericalError("potential exceeds the energy inside the well")
+    return half, theta, w, gap
+
+
+def _ref_orbit_period(potential, energy, mass, nodes=200):
+    half, theta, w, gap = _ref_well_samples(potential, energy, nodes)
+    integrand = half * np.cos(theta) * np.sqrt(mass / (2.0 * gap))
+    return float(2.0 * 0.5 * math.pi * np.dot(w, integrand))
+
+
+def _ref_action_direct(potential, energy, mass, nodes=200):
+    half, theta, w, gap = _ref_well_samples(potential, energy, nodes)
+    integrand = half * np.cos(theta) * np.sqrt(2.0 * mass * gap)
+    return float(2.0 * 0.5 * math.pi * np.dot(w, integrand))
+
+
+def _ref_orbit_fourier(potential, energy, mass, alpha_max, rk_steps=4096, nodes=200):
+    """(x-, x+, period, Fourier coefficients) of the reference orbit."""
+    x_lo, x_hi = _ref_turning_points(potential, energy)
+    period = _ref_orbit_period(potential, energy, mass, nodes)
+    dcoef = np.polynomial.polynomial.polyder(potential.coefficients)
+    desc = tuple(float(c) for c in dcoef[::-1])
+
+    def acceleration(pos):
+        slope = 0.0
+        for c in desc:
+            slope = slope * pos + c
+        return -slope / mass
+
+    dt = period / rk_steps
+    samples = np.empty(rk_steps)
+    x, v = x_hi, 0.0
+    for j in range(rk_steps):
+        samples[j] = x
+        k1x = v
+        k1v = acceleration(x)
+        k2x = v + 0.5 * dt * k1v
+        k2v = acceleration(x + 0.5 * dt * k1x)
+        k3x = v + 0.5 * dt * k2v
+        k3v = acceleration(x + 0.5 * dt * k2x)
+        k4x = v + dt * k3v
+        k4v = acceleration(x + dt * k3x)
+        x += dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    base = 2.0 * math.pi / period
+    times = np.arange(rk_steps) * dt
+    fourier = {}
+    for a in range(-alpha_max, alpha_max + 1):
+        fourier[a] = complex(np.dot(samples, np.exp(-1j * a * base * times)) / rk_steps)
+    return x_lo, x_hi, period, fourier
+
+
+def _ref_quantize(potential, mass, hbar, offset, n):
+    """(energy, action, converged, iterations) of the reference action rule."""
+    h = 2.0 * math.pi * hbar
+    target = n * h + offset
+    _, v_min = _ref_minimum(potential)
+    step = max(hbar, 1e-3)
+    e_hi = v_min + step
+    expansions = 0
+    while _ref_action_direct(potential, e_hi, mass) < target:
+        step *= 2.0
+        e_hi = v_min + step
+        expansions += 1
+        if expansions > 200:
+            raise M.NumericalError("action bracketing failed; J(E) did not reach the target")
+    e_lo = v_min
+    tolerance = 1e-10 * h
+    iterations = 0
+    converged = False
+    energy = e_hi
+    action = _ref_action_direct(potential, energy, mass)
+    while iterations < 200:
+        energy = 0.5 * (e_lo + e_hi)
+        action = _ref_action_direct(potential, energy, mass)
+        iterations += 1
+        if abs(action - target) <= tolerance:
+            converged = True
+            break
+        if action < target:
+            e_lo = energy
+        else:
+            e_hi = energy
+    return energy, action, converged, iterations
+
+
+LOPSIDED = M.PolynomialPotential((0.0, 0.3, 0.5, 0.1, 0.05))
+SEXTIC = M.PolynomialPotential((0.0, 0.1, 0.5, -0.05, 0.1, 0.01, 0.005))
+CONVEX = {
+    "sho": SHO,
+    "pure_quartic": PURE_QUARTIC,
+    "perturbed": PERTURBED,
+    "lopsided": LOPSIDED,
+    "sextic": SEXTIC,
+}
+MASSES = (0.5, 1.0, 2.0)
+
+
+def _energies(name):
+    """Energies above the minimum; the double well's lie above its barrier V(0) = 1."""
+    if name == "double_well":
+        return (1.2, 2.0, 6.0)
+    v_min = CONVEX[name].minimum()[1]
+    return tuple(v_min + d for d in (0.05, 1.3, 6.0))
+
+
+ALL = dict(CONVEX, double_well=DOUBLE_WELL)
+
+
+class TestBitIdenticalToPolyvalReference:
+    @pytest.mark.parametrize("name", sorted(ALL))
+    def test_turning_points(self, name):
+        for energy in _energies(name):
+            new = M.turning_points(ALL[name], energy)
+            ref = _ref_turning_points(ALL[name], energy)
+            assert new == ref
+            assert repr(new) == repr(ref)  # repr round-trips, so the signs of zeros agree too
+
+    @pytest.mark.parametrize("name", sorted(ALL))
+    @pytest.mark.parametrize("mass", MASSES)
+    def test_period_and_action(self, name, mass):
+        for energy in _energies(name):
+            period = M.orbit_period(ALL[name], energy, mass)
+            action = M.action_direct(ALL[name], energy, mass)
+            assert period == _ref_orbit_period(ALL[name], energy, mass)
+            assert action == _ref_action_direct(ALL[name], energy, mass)
+
+    @pytest.mark.parametrize("name", sorted(ALL))
+    @pytest.mark.parametrize("mass", MASSES)
+    def test_orbit_fourier(self, name, mass):
+        energy = _energies(name)[1]
+        orbit = M.orbit_fourier(ALL[name], energy, mass, alpha_max=4)
+        new = (orbit.x_minus, orbit.x_plus, orbit.period, orbit.fourier)
+        ref = _ref_orbit_fourier(ALL[name], energy, mass, alpha_max=4)
+        assert new == ref
+        assert repr(new) == repr(ref)
+        assert orbit.period == M.orbit_period(ALL[name], energy, mass)
+
+    @pytest.mark.parametrize(
+        "name, mass, n, offset",  # J0 = 0 or h/2 at hbar = 1; every mass, every convex well
+        [
+            ("sho", 0.5, 1, 0.0),
+            ("pure_quartic", 1.0, 2, math.pi),
+            ("perturbed", 2.0, 1, math.pi),
+            ("lopsided", 0.5, 2, 0.0),
+            ("sextic", 1.0, 1, 0.0),
+            ("sextic", 2.0, 2, math.pi),
+        ],
+    )
+    def test_quantize(self, name, mass, n, offset):
+        result = M.quantize(CONVEX[name], mass, 1.0, offset, n)
+        new = (result.energy, result.action, result.converged, result.iterations)
+        assert new == _ref_quantize(CONVEX[name], mass, 1.0, offset, n)
+
+    def test_below_barrier_quantize_fails_alike(self):
+        with pytest.raises(M.UnsupportedTopologyError) as new:
+            M.quantize(DOUBLE_WELL, 1.0, 0.5, 0.0, 1)
+        with pytest.raises(M.UnsupportedTopologyError) as ref:
+            _ref_quantize(DOUBLE_WELL, 1.0, 0.5, 0.0, 1)
+        assert str(new.value) == str(ref.value)

@@ -216,6 +216,12 @@ class TestPolynomialPotential:
         assert abs(abs(x_min) - 1.0) <= 1e-9
         assert abs(v_min) <= 1e-12
 
+    def test_minimum_solved_once_per_instance(self, monkeypatch):
+        pot = M.PolynomialPotential(QUARTIC_COEFFS)
+        first = pot.minimum()
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", None)
+        assert pot.minimum() is first
+
     def test_evaluation_and_slope(self):
         pot = M.PolynomialPotential(QUARTIC_COEFFS)
         assert pot(2.0) == pytest.approx(0.5 * 4 + 0.05 * 16)
