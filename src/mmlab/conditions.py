@@ -87,8 +87,7 @@ def _band(source, lo: int, hi: int, row: int, col: int) -> np.ndarray:
     raises ValueError for a pair inside the matrix that it did not record.
     """
     if isinstance(source, AmplitudeTable):
-        values = [source.amplitude_for_pair(n + row, n + col) for n in range(lo, hi + 1)]
-        return np.array(values, dtype=complex)
+        return source.diagonal(lo, hi, row, col)
     diagonal = np.diagonal(source, col - row)
     start = lo + min(row, col)
     out = np.zeros(hi - lo + 1, dtype=source.dtype)
@@ -303,26 +302,24 @@ def impose_heisenberg_reality(table: AmplitudeTable) -> AmplitudeTable:
     """
     if not table.hermitian_consistent:
         raise ValueError("table must satisfy the hermiticity-derived constraint")
-    new_entries = dict(table.entries)
-    for band in range(table.alpha_max + 1):
-        plus_keys = sorted(k for k in table.entries if k[1] == band)
-        minus_keys = sorted(k for k in table.entries if k[1] == -band)
-        pool = [table.entries[k] for k in plus_keys]
-        pool += [table.entries[k].conjugate() for k in minus_keys if band != 0]
+    amax = table.alpha_max
+    present = table.present()
+    amplitudes = table.amplitudes.copy()
+    for band in range(amax + 1):
+        plus, minus = present[:, amax + band], present[:, amax - band]
+        pool = table.amplitudes[plus, amax + band].tolist()
+        if band != 0:
+            pool += table.amplitudes[minus, amax - band].conj().tolist()
         if not pool:
             continue
+        # Python's sum of the scalars keeps scalar rounding; numpy's pairwise sum would not
         mean = sum(pool) / len(pool)
         if band == 0:
             mean = complex(mean.real, 0.0)
-        for k in plus_keys:
-            new_entries[k] = mean
-        for k in minus_keys:
-            new_entries[k] = mean.conjugate()
+        amplitudes[plus, amax + band] = mean
+        amplitudes[minus, amax - band] = mean.conjugate()
     return AmplitudeTable(
-        window=table.window,
-        alpha_max=table.alpha_max,
-        size=table.size,
-        entries=new_entries,
+        window=table.window, alpha_max=amax, size=table.size, amplitudes=amplitudes
     )
 
 

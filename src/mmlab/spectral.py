@@ -7,7 +7,9 @@ matrices are tied entrywise through the transition frequencies,
     P(n, n') = i * m * w(n, n') * X(n, n'),    w(n, n') = (E_n - E_n') / hbar,
 
 which keeps P hermitian whenever X is.  Amplitude tables re-index X entries
-by (state, jump) pairs, the format the condition evaluators reason about.
+by (state, jump) pairs, the format the condition evaluators reason about: one
+dense complex array, a row per recorded state n and a column per jump alpha,
+whose slots are data exactly where 0 <= n - alpha < size.
 """
 
 from __future__ import annotations
@@ -160,14 +162,20 @@ def matrix_bandwidth(x, cutoff: float = BAND_CUTOFF) -> int:
     return int(np.max(np.abs(rows - cols), initial=0))
 
 
+def _pair_columns(window: tuple[int, int], alpha_max: int) -> np.ndarray:
+    # column n - alpha of X(n, n - alpha) on the (state, jump) grid
+    return np.arange(window[0], window[1] + 1)[:, None] - np.arange(-alpha_max, alpha_max + 1)
+
+
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """Transition amplitudes keyed by (state n, jump alpha), A(n, alpha) = X(n, n - alpha).
+    """Transition amplitudes A(n, alpha) = X(n, n - alpha) as one dense (state, jump) array.
 
-    ``window`` is the inclusive range of recorded state labels and ``size`` the
-    dimension of the source matrix; entries exist only where both indices of
-    X(n, n - alpha) fall inside the matrix.  Two constraint flags are computed
-    from the recorded entries:
+    ``window`` is the inclusive range (lo, hi) of recorded state labels and
+    ``size`` the dimension of the source matrix.  ``amplitudes[n - lo, alpha +
+    alpha_max]`` holds A(n, alpha).  No presence mask is stored: a pair is
+    present exactly when 0 <= n - alpha < size, and absent slots hold 0.  Two
+    constraint flags are computed from the present pairs:
 
     * ``hermitian_consistent``: A(n, alpha) == conj(A(n - alpha, -alpha)),
       the re-indexed form of X being hermitian;
@@ -178,7 +186,7 @@ class AmplitudeTable:
     window: tuple[int, int]
     alpha_max: int
     size: int
-    entries: dict
+    amplitudes: np.ndarray
     hermitian_consistent: bool = field(init=False)
     heisenberg_real: bool = field(init=False)
 
@@ -188,33 +196,55 @@ class AmplitudeTable:
             raise ValueError(f"window {self.window} out of range for size {self.size}")
         if self.alpha_max < 0:
             raise ValueError("alpha_max must be nonnegative")
-        herm = True
-        real = True
-        for (n, a), value in self.entries.items():
-            partner = self.entries.get((n - a, -a))
-            if partner is not None and abs(value - partner.conjugate()) > 1e-12:
-                herm = False
-            partner = self.entries.get((n, -a))
-            if partner is not None and abs(value - partner.conjugate()) > 1e-12:
-                real = False
-        object.__setattr__(self, "hermitian_consistent", herm)
-        object.__setattr__(self, "heisenberg_real", real)
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        shape = (hi - lo + 1, 2 * self.alpha_max + 1)
+        if amps.shape != shape:
+            raise ValueError(f"amplitudes must have shape {shape}, got {amps.shape}")
+        present = self.present()
+        amps = _frozen_array(np.where(present, amps, 0j), complex)
+        object.__setattr__(self, "amplitudes", amps)
+        # conj(A(n, -a)) is the mirrored column; conj(A(n - a, -a)) is that column a
+        # rows up, recorded (and then both pairs present) while n - a is in the window
+        mirror = amps[:, ::-1].conj()
+        rows, cols = np.indices(shape)
+        up = rows - cols + self.alpha_max
+        paired = (up >= 0) & (up < shape[0])
+        herm = np.abs(amps - mirror[np.where(paired, up, 0), cols])[paired]
+        real = np.abs(amps - mirror)[present & present[:, ::-1]]
+        object.__setattr__(self, "hermitian_consistent", not np.any(herm > 1e-12))
+        object.__setattr__(self, "heisenberg_real", not np.any(real > 1e-12))
+
+    def present(self) -> np.ndarray:
+        """Boolean (state, jump) grid of the pairs inside the matrix."""
+        cols = _pair_columns(self.window, self.alpha_max)
+        return (cols >= 0) & (cols < self.size)
+
+    def diagonal(self, lo: int, hi: int, row: int, col: int) -> np.ndarray:
+        """Entries X(n + row, n + col) for n = lo..hi, one slice of jump column row - col.
+
+        Pairs outside the truncated matrix are genuine zeros; the first pair inside
+        the matrix but outside the recorded window is missing data and raises.
+        """
+        out = np.zeros(hi - lo + 1, dtype=complex)
+        # states n0..n1 put the pair inside the matrix, states first..last are recorded
+        n0, n1 = max(lo, -row, -col), min(hi, self.size - 1 - row, self.size - 1 - col)
+        if n1 < n0:
+            return out
+        first, last = self.window[0] - row, self.window[1] - row
+        if abs(row - col) > self.alpha_max:
+            first, last = n1 + 1, n1  # the table records no state of this jump
+        if not first <= n0 <= n1 <= last:
+            bad = n0 if not first <= n0 <= last else last + 1
+            raise ValueError(
+                f"amplitude for pair ({bad + row},{bad + col}) is outside the recorded window"
+            )
+        column = self.amplitudes[:, row - col + self.alpha_max]
+        out[n0 - lo : n1 - lo + 1] = column[n0 - first : n1 - first + 1]
+        return out
 
     def amplitude_for_pair(self, row: int, col: int) -> complex:
-        """Matrix entry X(row, col) as seen by the table.
-
-        Index pairs outside the truncated matrix are genuine zeros; pairs
-        inside the matrix but outside the recorded window are missing data.
-        """
-        if not (0 <= row < self.size and 0 <= col < self.size):
-            return 0j
-        key = (row, row - col)
-        try:
-            return self.entries[key]
-        except KeyError:
-            raise ValueError(
-                f"amplitude for pair ({row},{col}) is outside the recorded window"
-            ) from None
+        """Entry X(row, col): 0 outside the matrix, ValueError for an unrecorded pair inside it."""
+        return complex(self.diagonal(row, row, 0, col - row)[0])
 
 
 def to_amplitude_table(x, window: tuple[int, int], alpha_max: int) -> AmplitudeTable:
@@ -226,12 +256,9 @@ def to_amplitude_table(x, window: tuple[int, int], alpha_max: int) -> AmplitudeT
     lo, hi = window
     if not (0 <= lo <= hi <= size - 1):
         raise ValueError(f"window {window} out of range for matrix size {size}")
-    entries = {}
-    for n in range(lo, hi + 1):
-        for a in range(-alpha_max, alpha_max + 1):
-            if 0 <= n - a < size:
-                entries[(n, a)] = complex(xm[n, n - a])
-    return AmplitudeTable(window=(lo, hi), alpha_max=alpha_max, size=size, entries=entries)
+    cols = np.clip(_pair_columns(window, alpha_max), 0, size - 1)
+    amplitudes = xm[np.arange(lo, hi + 1)[:, None], cols]
+    return AmplitudeTable(window=(lo, hi), alpha_max=alpha_max, size=size, amplitudes=amplitudes)
 
 
 def build_oscillator(constants: PhysicalConstants, size: int):

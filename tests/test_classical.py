@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import mmlab as M
+from mmlab import classical
+from mmlab.classical import _rel_dev
 
 QUARTIC_COEFFS = (0.0, 0.0, 0.5, 0.0, 0.05)
 
@@ -170,6 +172,35 @@ class TestQuantize:
             M.quantize(SHO, 1.0, 1.0, -0.5, 1)
 
 
+def _ref_state_rows(pair, system, potential, n, alpha_max):
+    # the energy_rule="state" loop that integrated one orbit per jump, all at E_n
+    freq = M.transition_frequencies(system)
+    rows = []
+    for a in range(1, alpha_max + 1):
+        e_star = float(system.energies[n])
+        orbit = M.orbit_fourier(potential, e_star, system.constants.mass, alpha_max=a)
+        q_amp = float(abs(pair.x[n, n - a]))
+        c_amp = float(abs(orbit.fourier[a]))
+        q_freq = float(freq.omega[n, n - a])
+        c_freq = a * orbit.omega
+        floor = classical.AMP_NOISE_FLOOR
+        noise = q_amp < floor * abs(pair.x[n, n - 1]) and c_amp < floor * abs(orbit.fourier[1])
+        rows.append(
+            M.CorrespondenceRow(
+                n=n,
+                alpha=a,
+                energy=e_star,
+                quantum_amp=q_amp,
+                classical_amp=c_amp,
+                amp_rel_dev=0.0 if noise else _rel_dev(q_amp, c_amp),
+                quantum_freq=q_freq,
+                classical_freq=c_freq,
+                freq_rel_dev=_rel_dev(q_freq, c_freq),
+            )
+        )
+    return tuple(rows)
+
+
 class TestCorrespondence:
     def test_oscillator_exact_match(self, constants):
         system, pair = M.build_oscillator(constants, 8)
@@ -198,6 +229,59 @@ class TestCorrespondence:
         system, pair = quartic40
         report = M.correspondence_report(pair, system, PERTURBED, 20, 1, "mean")
         assert report.rows[0].amp_rel_dev <= 0.02
+
+    @pytest.mark.parametrize("case", ["sho", "quartic"])
+    def test_jumps_forbidden_on_both_sides_agree(self, request, constants, case):
+        # parity forbids every jump beyond 1 of the SHO and the even jumps of the
+        # symmetric quartic: both amplitudes are rounding noise, not a 100 % deviation
+        if case == "sho":
+            (system, pair), potential, alpha_max = M.build_oscillator(constants, 16), SHO, 3
+            forbidden = {2, 3}
+        else:
+            system, pair = request.getfixturevalue("quartic40")
+            potential, alpha_max, forbidden = PERTURBED, 2, {2}
+        noisy = 0
+        for n in range(alpha_max, system.size - alpha_max, 3):
+            for rule in ("mean", "state"):
+                report = M.correspondence_report(pair, system, potential, n, alpha_max, rule)
+                for row in report.rows:
+                    if row.alpha in forbidden:
+                        assert row.quantum_amp <= 1e-11 and row.classical_amp <= 1e-11
+                        noisy += row.classical_amp > 0.0
+                        assert row.amp_rel_dev == 0.0
+                    else:
+                        assert row.amp_rel_dev == _rel_dev(row.quantum_amp, row.classical_amp)
+        assert noisy  # nonzero classical noise, which the plain ratio read as 1
+
+    @pytest.mark.parametrize("case", ["sho", "quartic", "lopsided"])
+    def test_state_rule_rows_equal_per_jump_orbits_bitwise(self, request, constants, case):
+        if case == "sho":
+            (system, pair), potential = M.build_oscillator(constants, 12), SHO
+        elif case == "quartic":
+            (system, pair), potential = request.getfixturevalue("quartic40"), PERTURBED
+        else:
+            potential = LOPSIDED
+            system, pair = M.build_from_potential(potential, constants, 48, 12)
+        alpha_max = 4
+        for n in range(alpha_max, system.size - alpha_max, 3):
+            report = M.correspondence_report(pair, system, potential, n, alpha_max, "state")
+            expected = _ref_state_rows(pair, system, potential, n, alpha_max)
+            assert repr(report.rows) == repr(expected)
+
+    def test_state_rule_integrates_one_orbit_per_report(self, constants, monkeypatch):
+        system, pair = M.build_oscillator(constants, 12)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["alpha_max"])
+            return M.orbit_fourier(*args, **kwargs)
+
+        monkeypatch.setattr(classical, "orbit_fourier", counting)
+        M.correspondence_report(pair, system, SHO, 5, 4, "state")
+        assert calls == [4]
+        calls.clear()
+        M.correspondence_report(pair, system, SHO, 5, 4, "mean")
+        assert calls == [1, 2, 3, 4]
 
     def test_window_violation(self, constants):
         system, pair = M.build_oscillator(constants, 8)

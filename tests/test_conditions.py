@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -118,15 +119,15 @@ class TestImposeHeisenbergReality:
         _, pair, _ = osc8_parts
         table = M.to_amplitude_table(pair.x, (1, 5), 1)
         constrained = M.impose_heisenberg_reality(table)
-        values = [constrained.entries[(n, 1)] for n in range(1, 6)]
+        values = [constrained.amplitude_for_pair(n, n - 1) for n in range(1, 6)]
         assert max(abs(v - values[0]) for v in values) <= 1e-12
         # oracle: the projection averages the +1 diagonal together with the
         # conjugated -1 diagonal over the recorded window
         pool = [math.sqrt(n / 2.0) for n in range(1, 6)]
         pool += [math.sqrt((n + 1) / 2.0) for n in range(1, 6)]
         expected = sum(pool) / len(pool)
-        assert constrained.entries[(3, 1)].real == pytest.approx(expected, abs=1e-12)
-        assert constrained.entries[(3, -1)].real == pytest.approx(expected, abs=1e-12)
+        assert constrained.amplitude_for_pair(3, 2).real == pytest.approx(expected, abs=1e-12)
+        assert constrained.amplitude_for_pair(3, 4).real == pytest.approx(expected, abs=1e-12)
 
     def test_result_satisfies_both_constraints(self, osc8_parts):
         _, pair, _ = osc8_parts
@@ -139,8 +140,9 @@ class TestImposeHeisenbergReality:
         _, pair, _ = osc8_parts
         table = M.to_amplitude_table(pair.x, (0, 7), 1)
         constrained = M.impose_heisenberg_reality(table)
+        present = constrained.present()
         for band in (1, -1):
-            values = [v for (n, a), v in constrained.entries.items() if a == band]
+            values = constrained.amplitudes[present[:, 1 + band], 1 + band]
             assert max(abs(v - values[0]) for v in values) <= 1e-12
 
     def test_fixed_point(self, osc8_parts):
@@ -148,8 +150,7 @@ class TestImposeHeisenbergReality:
         table = M.to_amplitude_table(pair.x, (1, 5), 1)
         once = M.impose_heisenberg_reality(table)
         twice = M.impose_heisenberg_reality(once)
-        for key, value in once.entries.items():
-            assert abs(twice.entries[key] - value) <= 1e-14
+        assert np.max(np.abs(twice.amplitudes - once.amplitudes)) <= 1e-14
 
     def test_rejects_inconsistent_table(self, osc8_parts):
         _, pair, _ = osc8_parts
@@ -428,3 +429,213 @@ class TestFullReport:
             for n in range(7):
                 banded = M.commutator_diagonal_sum(xr, pr, n, 1)
                 assert abs(banded - base_banded[n]) <= 1e-12
+
+
+# Reference copy of the amplitude-table path as it was when the table was a dict
+# keyed by (n, alpha) tuples: the table with its per-pair flag loop, the
+# per-pair recording, the sorted per-band projection and the per-state band
+# read.  Only the class name differs.  The dense (state, jump) array must
+# reproduce it bit for bit.
+
+
+@dataclass(frozen=True)
+class _DictAmplitudeTable:
+    window: tuple[int, int]
+    alpha_max: int
+    size: int
+    entries: dict
+    hermitian_consistent: bool = field(init=False)
+    heisenberg_real: bool = field(init=False)
+
+    def __post_init__(self):
+        lo, hi = self.window
+        if not (0 <= lo <= hi <= self.size - 1):
+            raise ValueError(f"window {self.window} out of range for size {self.size}")
+        if self.alpha_max < 0:
+            raise ValueError("alpha_max must be nonnegative")
+        herm = True
+        real = True
+        for (n, a), value in self.entries.items():
+            partner = self.entries.get((n - a, -a))
+            if partner is not None and abs(value - partner.conjugate()) > 1e-12:
+                herm = False
+            partner = self.entries.get((n, -a))
+            if partner is not None and abs(value - partner.conjugate()) > 1e-12:
+                real = False
+        object.__setattr__(self, "hermitian_consistent", herm)
+        object.__setattr__(self, "heisenberg_real", real)
+
+    def amplitude_for_pair(self, row: int, col: int) -> complex:
+        if not (0 <= row < self.size and 0 <= col < self.size):
+            return 0j
+        key = (row, row - col)
+        try:
+            return self.entries[key]
+        except KeyError:
+            raise ValueError(
+                f"amplitude for pair ({row},{col}) is outside the recorded window"
+            ) from None
+
+
+def _dict_to_amplitude_table(x, window, alpha_max):
+    xm = np.asarray(x, dtype=complex)
+    if xm.ndim != 2 or xm.shape[0] != xm.shape[1]:
+        raise ValueError("position matrix must be square")
+    size = xm.shape[0]
+    lo, hi = window
+    if not (0 <= lo <= hi <= size - 1):
+        raise ValueError(f"window {window} out of range for matrix size {size}")
+    entries = {}
+    for n in range(lo, hi + 1):
+        for a in range(-alpha_max, alpha_max + 1):
+            if 0 <= n - a < size:
+                entries[(n, a)] = complex(xm[n, n - a])
+    return _DictAmplitudeTable(window=(lo, hi), alpha_max=alpha_max, size=size, entries=entries)
+
+
+def _dict_impose_heisenberg_reality(table):
+    if not table.hermitian_consistent:
+        raise ValueError("table must satisfy the hermiticity-derived constraint")
+    new_entries = dict(table.entries)
+    for band in range(table.alpha_max + 1):
+        plus_keys = sorted(k for k in table.entries if k[1] == band)
+        minus_keys = sorted(k for k in table.entries if k[1] == -band)
+        pool = [table.entries[k] for k in plus_keys]
+        pool += [table.entries[k].conjugate() for k in minus_keys if band != 0]
+        if not pool:
+            continue
+        mean = sum(pool) / len(pool)
+        if band == 0:
+            mean = complex(mean.real, 0.0)
+        for k in plus_keys:
+            new_entries[k] = mean
+        for k in minus_keys:
+            new_entries[k] = mean.conjugate()
+    return _DictAmplitudeTable(
+        window=table.window,
+        alpha_max=table.alpha_max,
+        size=table.size,
+        entries=new_entries,
+    )
+
+
+_matrix_band = conditions._band
+
+
+def _window_sum(table, freq, mass, n, alpha):
+    # the band kernel behind heisenberg_sum, on state n alone
+    return conditions._frequency_sum(None, table, freq, mass, n, n, alpha)
+
+
+def _dict_band(source, lo, hi, row, col):
+    if isinstance(source, _DictAmplitudeTable):
+        values = [source.amplitude_for_pair(n + row, n + col) for n in range(lo, hi + 1)]
+        return np.array(values, dtype=complex)
+    return _matrix_band(source, lo, hi, row, col)
+
+
+def _outcome(call):
+    """repr of a call's value, or its ValueError message."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _table_matrix(size, kind):
+    rng = np.random.default_rng(1000 + size)
+    raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    if kind == "general":
+        return raw
+    zeros = rng.random((size, size)) < 0.1
+    hermitian = raw + raw.conj().T
+    hermitian[zeros | zeros.T] = 0.0  # structural zeros, kept hermitian
+    return hermitian
+
+
+def _table_cases():
+    for size in (1, 2, 5, 12, 33):
+        rng = np.random.default_rng(size)
+        lo = int(rng.integers(0, size))
+        hi = int(rng.integers(lo, size))
+        for kind in ("hermitian", "general"):
+            for window in sorted({(0, size - 1), (lo, hi), (size // 2, size // 2)}):
+                for alpha in range(5):
+                    yield size, kind, window, alpha
+
+
+class TestTableBitIdenticalToDictReference:
+    @staticmethod
+    def assert_same_table(new, old):
+        lo, hi = new.window
+        amax = new.alpha_max
+        present = new.present()
+        assert {
+            (lo + i, k - amax) for i, k in zip(*np.nonzero(present))
+        } == set(old.entries)
+        for (n, a), value in old.entries.items():
+            assert repr(complex(new.amplitudes[n - lo, a + amax])) == repr(value)
+            assert repr(new.amplitude_for_pair(n, n - a)) == repr(value)
+        assert not np.any(new.amplitudes[~present])
+        assert new.hermitian_consistent is old.hermitian_consistent
+        assert new.heisenberg_real is old.heisenberg_real
+
+    @pytest.mark.parametrize(
+        "size, kind, window, alpha",
+        [pytest.param(*case, id="{}-{}-w{}:{}-a{}".format(case[0], case[1], *case[2], case[3]))
+         for case in _table_cases()],
+    )
+    def test_table_projection_and_sum(self, monkeypatch, size, kind, window, alpha):
+        x = _table_matrix(size, kind)
+        rng = np.random.default_rng(size)
+        energies = np.sort(rng.uniform(0.0, 5.0, size))
+        freq = M.transition_frequencies(M.SpectralSystem(M.PhysicalConstants(), energies))
+        mass = 1.3
+
+        new = M.to_amplitude_table(x, window, alpha)
+        old = _dict_to_amplitude_table(x, window, alpha)
+        self.assert_same_table(new, old)
+        tables = [(new, old)]
+        outcome = _outcome(lambda: M.impose_heisenberg_reality(new))
+        assert outcome.startswith("ValueError") == (not old.hermitian_consistent)
+        if outcome.startswith("ValueError"):
+            assert outcome == _outcome(lambda: _dict_impose_heisenberg_reality(old))
+        else:
+            constrained = M.impose_heisenberg_reality(new), _dict_impose_heisenberg_reality(old)
+            self.assert_same_table(*constrained)
+            tables.append(constrained)
+
+        for row in range(-1, size + 1):
+            for col in range(-1, size + 1):
+                assert _outcome(lambda: new.amplitude_for_pair(row, col)) == _outcome(
+                    lambda: old.amplitude_for_pair(row, col)
+                )
+        for table, reference in tables:
+            actual = [
+                _outcome(lambda: M.heisenberg_sum(table, freq, mass, n, alpha))
+                for n in range(size - alpha)
+            ]
+            with monkeypatch.context() as patch:
+                patch.setattr(conditions, "_band", _dict_band)
+                expected = [
+                    _outcome(lambda: float(_window_sum(reference, freq, mass, n, alpha)[0].real))
+                    for n in range(size - alpha)
+                ]
+            assert actual == expected
+
+    def test_cases_cover_rejections_and_missing_pairs(self):
+        # the parametrized cases exercise both error paths, not only values
+        messages = set()
+        for size, kind, window, alpha in _table_cases():
+            table = _dict_to_amplitude_table(_table_matrix(size, kind), window, alpha)
+            if not table.hermitian_consistent:
+                messages.add("inconsistent")
+            elif kind == "hermitian":
+                messages.add("consistent")
+            for n in range(size - alpha):
+                for a in range(-alpha, alpha + 1):
+                    if "outside the recorded window" in _outcome(
+                        lambda: table.amplitude_for_pair(n + a, n)
+                    ):
+                        messages.add("missing")
+        assert messages == {"consistent", "inconsistent", "missing"}

@@ -147,8 +147,9 @@ class TestAmplitudeTable:
     def test_oscillator_window(self, osc8):
         _, pair = osc8
         table = M.to_amplitude_table(pair.x, (1, 2), 1)
-        assert table.entries[(1, 1)] == pytest.approx(0.7071067811865476, abs=1e-10)
-        assert table.entries[(1, -1)] == pytest.approx(1.0, abs=1e-10)
+        # row n - lo, column alpha + alpha_max
+        assert table.amplitudes[0, 2] == pytest.approx(0.7071067811865476, abs=1e-10)
+        assert table.amplitudes[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_flags_on_hermitian_oscillator(self, osc8):
         _, pair = osc8
@@ -164,10 +165,17 @@ class TestAmplitudeTable:
         with pytest.raises(ValueError):
             M.to_amplitude_table(pair.x, (-1, 3), 1)
 
+    def test_constructor_checks_shape_and_zeroes_absent_slots(self):
+        with pytest.raises(ValueError, match="shape"):
+            M.AmplitudeTable(window=(0, 2), alpha_max=1, size=4, amplitudes=np.ones((2, 3)))
+        table = M.AmplitudeTable(window=(0, 2), alpha_max=1, size=3, amplitudes=np.ones((3, 3)))
+        # A(0, 1) = X(0, -1) and A(2, -1) = X(2, 3) fall outside the 3 x 3 matrix
+        assert table.amplitudes.tolist() == [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+
     def test_pair_lookup_semantics(self, osc8):
         _, pair = osc8
         table = M.to_amplitude_table(pair.x, (1, 2), 1)
-        assert table.amplitude_for_pair(1, 0) == table.entries[(1, 1)]
+        assert table.amplitude_for_pair(1, 0) == table.amplitudes[0, 2]  # n = 1, alpha = 1
         assert table.amplitude_for_pair(0, -1) == 0j  # outside the matrix
         with pytest.raises(ValueError):
             table.amplitude_for_pair(5, 4)  # inside the matrix, outside the window
