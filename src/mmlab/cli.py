@@ -65,16 +65,16 @@ class RunConfig:
     def validate(self) -> None:
         for name in ("m", "omega", "hbar"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.size < 1:
             raise ValueError(f"size must be at least 1, got {self.size}")
         if self.basis_size is not None and self.basis_size < 2:
             raise ValueError("basis-size must be at least 2")
         if self.alpha_max is not None and self.alpha_max < 1:
             raise ValueError("alpha-max must be at least 1")
-        if self.j0 < 0.0:
-            raise ValueError("j0 must be nonnegative")
+        if not (math.isfinite(self.j0) and self.j0 >= 0.0):
+            raise ValueError(f"j0 must be finite and nonnegative, got {self.j0}")
         if self.energy_rule not in ("state", "mean"):
             raise ValueError("energy-rule must be 'state' or 'mean'")
         if self.format not in ("json", "csv"):
@@ -109,16 +109,19 @@ def load_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _STR_KEYS:
-                values[key] = value
-            elif key == "coeffs":
-                values[key] = _parse_coeffs(value)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            try:
+                if key in _FLOAT_KEYS:
+                    values[key] = float(value)
+                elif key in _INT_KEYS:
+                    values[key] = int(value)
+                elif key in _STR_KEYS:
+                    values[key] = value
+                elif key == "coeffs":
+                    values[key] = _parse_coeffs(value)
+                else:
+                    raise ValueError(f"unknown option {key!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

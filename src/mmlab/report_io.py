@@ -1,10 +1,11 @@
 """Deterministic JSON and CSV serialization of the report types.
 
-All floating-point values are rendered with 15 significant digits so that
-artifacts from independent implementations can be compared textually.  JSON
-payloads round floats to 15 significant digits before encoding, which makes
-serialize / parse / serialize a byte-level fixed point.  NaN becomes JSON
-null and the CSV cell "nan".
+Every report goes through one encoder, ``_encode``: a report type declares its
+column names once and turns each row into one value tuple in that order.  CSV
+is a header line plus ``.15g`` cells (NaN is "nan").  JSON is one object per
+row, each float rounded once to 15 significant digits (NaN becomes null),
+placed under the report payload's ``"rows"`` key; the rounding makes
+serialize / parse / serialize a byte-level fixed point.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from operator import attrgetter
 
 from .classical import CorrespondenceReport, QuantizationResult
 from .conditions import ConditionReport
@@ -34,6 +36,17 @@ CONDITION_ROW_KEYS = (
     "residual_comm_im",
 )
 
+# ConditionRow attribute behind each column whose name differs from the field.
+_CONDITION_COLUMN_ATTRS = {
+    "comm_diag_re": "commutator_diag.real",
+    "comm_diag_im": "commutator_diag.imag",
+    "residual_comm_re": "residual_commutator.real",
+    "residual_comm_im": "residual_commutator.imag",
+}
+_condition_values = attrgetter(
+    *(_CONDITION_COLUMN_ATTRS.get(key, key) for key in CONDITION_ROW_KEYS)
+)
+
 
 def _round15(value: float):
     if isinstance(value, int):
@@ -43,42 +56,27 @@ def _round15(value: float):
     return float(f"{value:.15g}")
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    return f"{value:.15g}"
+def _encode(keys, rows, fmt: str, payload: dict | None = None) -> bytes:
+    """Encode value tuples in ``keys`` order as JSON or as CSV with a header line.
+
+    JSON puts the rows under ``payload["rows"]``; a ``"rows"`` placeholder in
+    ``payload`` fixes where they appear among the other keys.
+    """
+    if fmt == "json":
+        records = [dict(zip(keys, map(_round15, row))) for row in rows]
+        body = {**(payload or {}), "rows": records}
+        return (json.dumps(body, separators=(",", ":")) + "\n").encode("ascii")
+    if fmt == "csv":
+        lines = [",".join(keys)]
+        lines += [",".join([format(value, ".15g") for value in row]) for row in rows]
+        return ("\n".join(lines) + "\n").encode("ascii")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
-def _condition_row_record(row) -> dict:
-    return {
-        "n": row.n,
-        "eq4_hermitian": row.eq4_hermitian,
-        "eq4_constrained": row.eq4_constrained,
-        "eq14": row.eq14,
-        "eq25": row.eq25,
-        "bj_alternative": row.bj_alternative,
-        "comm_diag_re": row.commutator_diag.real,
-        "comm_diag_im": row.commutator_diag.imag,
-        "residual_eq4_hermitian": row.residual_eq4_hermitian,
-        "residual_eq4_constrained": row.residual_eq4_constrained,
-        "residual_eq14": row.residual_eq14,
-        "residual_eq25": row.residual_eq25,
-        "residual_bj_alternative": row.residual_bj_alternative,
-        "residual_comm_re": row.residual_commutator.real,
-        "residual_comm_im": row.residual_commutator.imag,
-    }
-
-
-def _rounded_rows(keys, records) -> list[dict]:
-    return [{key: _round15(record[key]) for key in keys} for record in records]
-
-
-def condition_report_payload(report: ConditionReport) -> dict:
-    """Plain-dict form of a condition report with floats rounded to 15 digits."""
-    records = [_condition_row_record(row) for row in report.rows]
-    return {
+def serialize_report(report: ConditionReport, fmt: str = "json") -> bytes:
+    """Serialize a condition report to JSON or CSV bytes."""
+    rows = [_condition_values(row) for row in report.rows]
+    payload = {
         "system": {
             "kind": report.system_kind,
             "constants": {
@@ -89,35 +87,13 @@ def condition_report_payload(report: ConditionReport) -> dict:
             "size": report.size,
         },
         "window": [report.window[0], report.window[1]],
-        "rows": _rounded_rows(CONDITION_ROW_KEYS, records),
+        "rows": None,
         "offdiag_max": _round15(report.offdiag_max),
         "trace_re": _round15(report.trace_commutator.real),
         "trace_im": _round15(report.trace_commutator.imag),
         "edge_diag_im": _round15(report.edge_diag.imag),
     }
-
-
-def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("ascii")
-
-
-def _serialize_rows(keys, records, fmt: str) -> bytes:
-    """Encode flat row records as JSON ``{"rows": [...]}`` or as CSV with a header line."""
-    if fmt == "json":
-        return _json_bytes({"rows": _rounded_rows(keys, records)})
-    if fmt == "csv":
-        lines = [",".join(keys)]
-        lines += [",".join(_csv_cell(record[key]) for key in keys) for record in records]
-        return ("\n".join(lines) + "\n").encode("ascii")
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def serialize_report(report: ConditionReport, fmt: str = "json") -> bytes:
-    """Serialize a condition report to JSON or CSV bytes."""
-    if fmt == "json":
-        return _json_bytes(condition_report_payload(report))
-    records = [_condition_row_record(row) for row in report.rows]
-    return _serialize_rows(CONDITION_ROW_KEYS, records, fmt)
+    return _encode(CONDITION_ROW_KEYS, rows, fmt, payload)
 
 
 CLASSICAL_ROW_KEYS_BASE = (
@@ -141,21 +117,15 @@ def serialize_classical(
     level, whose orbit columns come out as NaN.
     """
     keys = CLASSICAL_ROW_KEYS_BASE + tuple(f"fourier_{a}" for a in range(alpha_max + 1))
-    records = []
+    rows = []
     for result, orbit in levels:
-        record = {
-            "n": result.n,
-            "energy": result.energy,
-            "action": result.action,
-            "period": orbit.period if orbit else math.nan,
-            "omega": orbit.omega if orbit else math.nan,
-            "x_minus": orbit.x_minus if orbit else math.nan,
-            "x_plus": orbit.x_plus if orbit else math.nan,
-        }
-        for a in range(alpha_max + 1):
-            record[f"fourier_{a}"] = orbit.fourier[a].real if orbit else math.nan
-        records.append(record)
-    return _serialize_rows(keys, records, fmt)
+        if orbit is None:
+            orbit_values = (math.nan,) * (len(keys) - 3)
+        else:
+            orbit_values = (orbit.period, orbit.omega, orbit.x_minus, orbit.x_plus)
+            orbit_values += tuple(orbit.fourier[a].real for a in range(alpha_max + 1))
+        rows.append((result.n, result.energy, result.action) + orbit_values)
+    return _encode(keys, rows, fmt)
 
 
 CORRESPONDENCE_ROW_KEYS = (
@@ -169,15 +139,13 @@ CORRESPONDENCE_ROW_KEYS = (
     "classical_freq",
     "freq_rel_dev",
 )
+_correspondence_values = attrgetter(*CORRESPONDENCE_ROW_KEYS)
 
 
 def serialize_correspondence(reports: list[CorrespondenceReport], fmt: str = "json") -> bytes:
     """Serialize correspondence reports as flat rows ordered by (n, alpha)."""
-    records = []
-    for report in reports:
-        for row in report.rows:
-            records.append({key: getattr(row, key) for key in CORRESPONDENCE_ROW_KEYS})
-    return _serialize_rows(CORRESPONDENCE_ROW_KEYS, records, fmt)
+    rows = [_correspondence_values(row) for report in reports for row in report.rows]
+    return _encode(CORRESPONDENCE_ROW_KEYS, rows, fmt)
 
 
 def write_atomic(path: str, data: bytes) -> None:

@@ -50,7 +50,7 @@ def _frozen_array(values, dtype):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSystem:
     """Retained energy levels of a 1-D bound system, lowest first."""
 
@@ -73,7 +73,7 @@ class SpectralSystem:
         return int(self.energies.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyTable:
     """Antisymmetric matrix of transition frequencies w(n, n')."""
 
@@ -115,7 +115,7 @@ def hermiticity_defect(matrix) -> float:
     return defect / max(1.0, float(np.linalg.norm(m)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixPair:
     """Hermitian position and momentum matrices over the same state basis."""
 
@@ -167,7 +167,7 @@ def _pair_columns(window: tuple[int, int], alpha_max: int) -> np.ndarray:
     return np.arange(window[0], window[1] + 1)[:, None] - np.arange(-alpha_max, alpha_max + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeTable:
     """Transition amplitudes A(n, alpha) = X(n, n - alpha) as one dense (state, jump) array.
 
@@ -284,7 +284,7 @@ def build_oscillator(constants: PhysicalConstants, size: int):
     return system, MatrixPair(x=x.astype(complex), p=p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolynomialPotential:
     """Confining polynomial potential V(x) = sum_k c_k x^k, coefficients ascending.
 

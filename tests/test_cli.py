@@ -160,6 +160,22 @@ class TestConfigFile:
         cfg.write_text("sizes = 8\n")
         assert run_cli(["oscillator", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("size = 1.5", "invalid literal for int()"),
+            ("coeffs = abc", "cannot parse coefficient list 'abc'"),
+            ("hbar = one", "could not convert string to float"),
+        ],
+    )
+    def test_conversion_error_names_its_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# header\nomega = 2.0\n{line}\n")
+        assert run_cli(["potential", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:3: ")
+        assert message in err
+
     def test_coeffs_from_file(self, tmp_path):
         cfg = tmp_path / "pot.cfg"
         cfg.write_text("coeffs = 0,0,0.5\nsize = 6\nbasis_size = 32\n")
@@ -213,3 +229,12 @@ class TestRunConfigValidation:
 
     def test_missing_coeffs(self):
         assert cli.run(cli.RunConfig(mode="classical")) == 2
+
+    @pytest.mark.parametrize("option", ["m", "omega", "hbar", "j0"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_number_is_invalid_argument(self, capsys, option, value):
+        code = run_cli(["classical", "--coeffs", "0,0,0.5", "--size", "3",
+                        f"--{option}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option} must be finite")

@@ -303,3 +303,29 @@ class TestSpectralSystem:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             M.SpectralSystem(M.PhysicalConstants(), np.array([]))
+
+
+class TestArrayDataclassEquality:
+    """Array-holding dataclasses compare by identity: == never reads the arrays."""
+
+    @pytest.fixture(params=["system", "frequencies", "pair", "table", "potential"])
+    def instances(self, request, osc8):
+        system, pair = osc8
+        make = {
+            "system": lambda: M.SpectralSystem(system.constants, system.energies),
+            "frequencies": lambda: M.transition_frequencies(system),
+            "pair": lambda: M.MatrixPair(x=pair.x, p=pair.p),
+            "table": lambda: M.to_amplitude_table(pair.x, (1, 5), 2),
+            "potential": lambda: M.PolynomialPotential(QUARTIC_COEFFS),
+        }[request.param]
+        return make(), make()
+
+    def test_distinct_instances_unequal_without_raising(self, instances):
+        a, b = instances
+        assert not a == b
+        assert a != b
+
+    def test_instance_equals_itself_and_hashes(self, instances):
+        a, _ = instances
+        assert a == a
+        assert {a: 1}[a] == 1
