@@ -7,13 +7,13 @@ removed with the substitution x = mid + half * sin(theta), after which
 Gauss-Legendre quadrature converges spectrally.  Orbits start at the right
 turning point with zero velocity, which makes every Fourier coefficient real.
 
-The scalar hot loops (turning-point bracketing and bisection, the RK4 force
-evaluations) run in Python floats: V and V' are evaluated by a Horner loop
-from the leading coefficient, which performs the same IEEE operations in the
-same order as ``np.polynomial.polynomial.polyval`` on a scalar and so is
-bit-identical to it.  The potential minimum is solved once per potential
-instance, and ``orbit_fourier`` solves its turning points once, sharing them
-with the period quadrature.
+The potential owns V (see :class:`mmlab.spectral.PolynomialPotential`): its
+Horner terms of V and V' and its critical points are computed once, at
+construction.  The scalar hot loops (turning-point bracketing and bisection,
+the RK4 force evaluations) read those terms once per call and run in Python
+floats.  The turning-point count of the topology check is read exactly off
+the critical values, with no root solve per call, and ``orbit_fourier``
+solves its turning points once, sharing them with the period quadrature.
 """
 
 from __future__ import annotations
@@ -25,7 +25,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError, UnsupportedTopologyError
-from .spectral import MatrixPair, PolynomialPotential, SpectralSystem, transition_frequencies
+from .spectral import (
+    MatrixPair,
+    PolynomialPotential,
+    SpectralSystem,
+    _horner,
+    transition_frequencies,
+)
 
 GAUSS_NODES = 200
 RK4_STEPS = 4096
@@ -44,52 +50,24 @@ def _gauss_rule(nodes: int):
     return np.sin(theta), np.cos(theta), w
 
 
-def _descending(coefficients: np.ndarray) -> tuple[float, tuple[float, ...]]:
-    """Leading coefficient and the rest, highest degree first, as Python floats."""
-    desc = coefficients.tolist()[::-1]
-    return desc[0], tuple(desc[1:])
-
-
-def _horner(top: float, rest: tuple[float, ...], x: float) -> float:
-    """Scalar Horner evaluation from the leading coefficient.
-
-    Performs the IEEE operations of ``np.polynomial.polynomial.polyval`` on a
-    scalar in the same order, so the result is bit-identical to it whenever
-    the leading coefficient is positive (polyval's first step, ``c[-1] +
-    x * 0``, then returns ``c[-1]`` unchanged).
-    """
-    value = top
-    for c in rest:
-        value = c + value * x
-    return value
-
-
 def turning_points(potential: PolynomialPotential, energy: float) -> tuple[float, float]:
     """Classical turning points x- < x+ with V(x) = E.
 
-    The energy must exceed the potential minimum.  Exactly two distinct real
-    solutions are required: an above-barrier double well is fine, a
-    below-barrier one (four turning points) is rejected.
+    The energy must exceed the potential minimum.  At most two distinct real
+    solutions (counted from the critical values) are allowed: an above-barrier
+    double well is fine, a below-barrier one (four turning points) is rejected.
     """
     x_min, v_min = potential.minimum()
     if not energy > v_min:
         raise ValueError(f"energy {energy} does not exceed the potential minimum {v_min}")
-    shifted = potential.coefficients.copy()
-    shifted[0] -= energy
-    roots = np.polynomial.polynomial.polyroots(shifted)
-    real = sorted(
-        r.real for r in np.atleast_1d(roots) if abs(r.imag) <= 1e-8 * (1.0 + abs(r))
-    )
-    distinct: list[float] = []
-    for r in real:
-        if not distinct or abs(r - distinct[-1]) > 1e-8 * (1.0 + abs(r)):
-            distinct.append(r)
-    if len(distinct) > 2:
+    signs = [1, *((v > energy) - (v < energy) for _, v in potential.critical_points), 1]
+    count = sum(a * b < 0 for a, b in zip(signs, signs[1:])) + signs.count(0)
+    if count > 2:
         raise UnsupportedTopologyError(
-            f"{len(distinct)} turning points at energy {energy}; "
+            f"{count} turning points at energy {energy}; "
             "below-barrier multi-well orbits are not supported"
         )
-    top, rest = _descending(potential.coefficients)
+    top, rest = potential.v_terms
 
     def crossing(direction: float) -> float:
         step = max(1.0, abs(x_min))
@@ -213,7 +191,7 @@ def orbit_fourier(
         raise ValueError("alpha_max must be at least 1")
     x_lo, x_hi = turning_points(potential, energy)
     period = _period(potential, energy, mass, nodes, x_lo, x_hi)
-    top, rest = _descending(np.polynomial.polynomial.polyder(potential.coefficients))
+    top, rest = potential.dv_terms
     dt = period / rk_steps
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0

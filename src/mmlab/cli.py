@@ -63,6 +63,8 @@ class RunConfig:
     perturb: float = 0.0
 
     def validate(self) -> None:
+        if not math.isfinite(self.perturb):
+            raise ValueError(f"perturb must be finite, got {self.perturb}")
         for name in ("m", "omega", "hbar"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -248,12 +250,12 @@ _PIPELINES = {
 
 def run(config: RunConfig) -> int:
     """Dispatch a resolved config; returns the process exit code."""
-    if config.mode == "verify":
-        results = run_all(perturb=config.perturb)
-        print(format_results(results))
-        return 0 if all(r.passed for r in results) else 4
     try:
         config.validate()
+        if config.mode == "verify":
+            results = run_all(perturb=config.perturb)
+            print(format_results(results))
+            return 0 if all(r.passed for r in results) else 4
         pipeline = _PIPELINES[config.mode]
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ from .spectral import (
     FrequencyTable,
     MatrixPair,
     SpectralSystem,
+    _square,
     matrix_bandwidth,
     momentum_from_position,
     to_amplitude_table,
@@ -49,12 +50,7 @@ REALNESS_TOL = 1e-10
 
 def commutator(x, p) -> np.ndarray:
     """Matrix commutator XP - PX."""
-    xm = np.asarray(x, dtype=complex)
-    pm = np.asarray(p, dtype=complex)
-    if xm.ndim != 2 or xm.shape[0] != xm.shape[1]:
-        raise ValueError("commutator expects square matrices")
-    if pm.shape != xm.shape:
-        raise ValueError("matrix shapes disagree")
+    xm, pm = _square(x, p)
     return xm @ pm - pm @ xm
 
 
@@ -142,7 +138,7 @@ def heisenberg_sum(source, freq: FrequencyTable, mass: float, n: int, alpha_max:
     if isinstance(source, AmplitudeTable):
         size = source.size
     else:
-        source = np.asarray(source, dtype=complex)
+        (source,) = _square(source)
         size = source.shape[0]
     _check_window(n, size, alpha_max)
     return float(_frequency_sum(None, source, freq, mass, n, n, alpha_max)[0].real)
@@ -155,7 +151,7 @@ def born_jordan_sum(x, freq: FrequencyTable, mass: float, n: int, alpha_max: int
     squared moduli and this agrees with :func:`modified_sum` exactly; the two
     diverge on non-hermitian input.
     """
-    matrix = np.asarray(x, dtype=complex)
+    (matrix,) = _square(x)
     _check_window(n, matrix.shape[0], alpha_max)
     return float(_frequency_sum(matrix, matrix, freq, mass, n, n, alpha_max)[0].real)
 
@@ -166,7 +162,7 @@ def modified_sum(x, freq: FrequencyTable, mass: float, n: int, alpha_max: int) -
     The squared moduli implement X(n +- a, n) = conj(X(n, n +- a)); this is the
     reading under which the sum equals hbar for every interior state.
     """
-    return heisenberg_sum(np.asarray(x, dtype=complex), freq, mass, n, alpha_max)
+    return heisenberg_sum(_square(x)[0], freq, mass, n, alpha_max)
 
 
 def _nearest_neighbor_values(x, mass, omega, lo, hi) -> np.ndarray:
@@ -183,7 +179,7 @@ def nearest_neighbor_rewrite(x, mass: float, omega: float, n: int) -> float:
     hbar/sqrt(2) at n = 0 and hbar*sqrt(6)/2 at n = 1, approaching hbar only
     for large n, which is the quantitative witness of its invalidity.
     """
-    matrix = np.asarray(x, dtype=complex)
+    (matrix,) = _square(x)
     if matrix_bandwidth(matrix) > 1:
         raise ValueError(
             "the nearest-neighbor rewrite is only defined for matrices whose "
@@ -193,19 +189,12 @@ def nearest_neighbor_rewrite(x, mass: float, omega: float, n: int) -> float:
     return float(_nearest_neighbor_values(matrix, mass, omega, n, n)[0].real)
 
 
-def _checked_pair(x, p) -> tuple[np.ndarray, np.ndarray]:
-    xm, pm = np.asarray(x, dtype=complex), np.asarray(p, dtype=complex)
-    if pm.shape != xm.shape:
-        raise ValueError("matrix shapes disagree")
-    return xm, pm
-
-
 def commutator_diagonal_sum(x, p, n: int, alpha_max: int) -> complex:
     """Banded diagonal element sum_a {P(n+a,n) X(n,n+a) - P(n,n+a) X(n+a,n)}.
 
     Equals commutator(X, P)[n, n] once alpha_max spans every nonzero band.
     """
-    xm, pm = _checked_pair(x, p)
+    xm, pm = _square(x, p)
     _check_window(n, xm.shape[0], alpha_max)
     return complex(_band_sum(n, n, alpha_max, (xm, pm, None, 1), (pm, xm, None, 1))[0])
 
@@ -218,10 +207,9 @@ def _ordered_sum(terms: np.ndarray) -> complex:
 def _loop_integral_terms(x, p, freq: FrequencyTable, n: int, period: float, conjugate: bool):
     # i w(n,k) P(n,k) X(k,n) (or P(k,n) X(n,k)) for k = N-1 down to 0, the order of a
     # loop over a = n - k from n - N + 1 to n
-    xm, pm = _checked_pair(x, p)
+    xm, pm = _square(x, p)
     size = xm.shape[0]
-    if not 0 <= n < size:
-        raise ValueError(f"state label {n} outside the system")
+    _check_window(n, size, 0)
     if period <= 0.0:
         raise ValueError("period must be positive")
     w = np.zeros(size)
@@ -262,9 +250,8 @@ def loop_integral_state_difference(x, p, n: int) -> complex:
     For hermitian X, P the two sums are complex conjugates, so the combination
     is real; away from the truncation edge it equals 2 pi hbar.
     """
-    xm, pm = _checked_pair(x, p)
-    if not 0 <= n < xm.shape[0]:
-        raise ValueError(f"state label {n} outside the system")
+    xm, pm = _square(x, p)
+    _check_window(n, xm.shape[0], 0)
     first = _ordered_sum(_product(pm[:, n], xm[n, :]))
     second = _ordered_sum(_product(pm[n, :], xm[:, n])[::-1])
     return -2j * math.pi * first + 2j * math.pi * second
@@ -416,8 +403,10 @@ def full_report(
     # eq25 reads the same squared moduli from the matrix as eq4_hermitian
     eq25 = eq4_h
     if band <= 1:
+        # a potential's constants.omega is an unused option; its oscillator scale is w(1, 0)
+        scale = float(freq.omega[1, 0]) if system.kind == "potential" else omega
         bj = _real_or_raise(
-            _nearest_neighbor_values(x, mass, omega, 0, window_hi), hbar, "bj_alternative"
+            _nearest_neighbor_values(x, mass, scale, 0, window_hi), hbar, "bj_alternative"
         )
     else:
         bj = [math.nan] * (window_hi + 1)

@@ -106,11 +106,19 @@ def transition_frequencies(system: SpectralSystem) -> FrequencyTable:
     return FrequencyTable(e[:, None] - e[None, :])
 
 
+def _square(*matrices) -> tuple[np.ndarray, ...]:
+    """The matrices as complex arrays; ValueError unless they are square and of one shape."""
+    arrays = tuple(np.asarray(m, dtype=complex) for m in matrices)
+    shape = arrays[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in arrays):
+        shapes = ", ".join(str(a.shape) for a in arrays)
+        raise ValueError(f"expected square matrices of one shape, got {shapes}")
+    return arrays
+
+
 def hermiticity_defect(matrix) -> float:
     """Frobenius norm of (M - M^dagger) divided by max(1, Frobenius norm of M)."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("hermiticity_defect expects a square matrix")
+    (m,) = _square(matrix)
     defect = float(np.linalg.norm(m - m.conj().T))
     return defect / max(1.0, float(np.linalg.norm(m)))
 
@@ -123,12 +131,7 @@ class MatrixPair:
     p: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=complex)
-        p = np.asarray(self.p, dtype=complex)
-        if x.ndim != 2 or x.shape[0] != x.shape[1]:
-            raise ValueError("position matrix must be square")
-        if p.shape != x.shape:
-            raise ValueError("position and momentum matrices must share a shape")
+        x, p = _square(self.x, self.p)
         if hermiticity_defect(x) > HERMITICITY_TOL:
             raise ValueError("position matrix is not hermitian within tolerance")
         if hermiticity_defect(p) > HERMITICITY_TOL:
@@ -147,9 +150,7 @@ def momentum_from_position(x, freq: FrequencyTable, mass: float) -> np.ndarray:
     Hermitian input X yields hermitian output because the frequency matrix is
     real antisymmetric.
     """
-    xm = np.asarray(x, dtype=complex)
-    if xm.ndim != 2 or xm.shape[0] != xm.shape[1]:
-        raise ValueError("position matrix must be square")
+    (xm,) = _square(x)
     if xm.shape[0] != freq.size:
         raise ValueError("position matrix and frequency table sizes disagree")
     return 1j * mass * freq.omega * xm
@@ -249,9 +250,7 @@ class AmplitudeTable:
 
 def to_amplitude_table(x, window: tuple[int, int], alpha_max: int) -> AmplitudeTable:
     """Record X entries as transition amplitudes A(n, alpha) = X(n, n - alpha)."""
-    xm = np.asarray(x, dtype=complex)
-    if xm.ndim != 2 or xm.shape[0] != xm.shape[1]:
-        raise ValueError("position matrix must be square")
+    (xm,) = _square(x)
     size = xm.shape[0]
     lo, hi = window
     if not (0 <= lo <= hi <= size - 1):
@@ -284,15 +283,42 @@ def build_oscillator(constants: PhysicalConstants, size: int):
     return system, MatrixPair(x=x.astype(complex), p=p)
 
 
+def _descending(coefficients: np.ndarray) -> tuple[float, tuple[float, ...]]:
+    """Leading coefficient and the rest, highest degree first, as Python floats."""
+    desc = coefficients.tolist()[::-1]
+    return desc[0], tuple(desc[1:])
+
+
+def _horner(top: float, rest: tuple[float, ...], x):
+    """Horner evaluation from the leading coefficient, of a float or an array.
+
+    For finite x and degree >= 1 these are polyval's IEEE operations in polyval's
+    order, so the result is bit-identical to ``np.polynomial.polynomial.polyval``.
+    """
+    value = top
+    for c in rest:
+        value = c + value * x
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class PolynomialPotential:
     """Confining polynomial potential V(x) = sum_k c_k x^k, coefficients ascending.
 
     Trailing zero coefficients are dropped; the retained leading term must have
     even degree >= 2 with a positive coefficient so that V grows on both sides.
+    Construction stores the Horner terms (leading coefficient, then the rest)
+    of V and V' as ``v_terms`` and ``dv_terms``, and the real critical points
+    with their values, (x, V(x)) in ascending x, as ``critical_points``.  As V
+    is monotone between critical points, V(x) = E has exactly as many solutions
+    as neighbours of strictly opposite sign in (+, V(c_1) - E, ..., V(c_k) - E, +)
+    plus critical points at E: a tangency at E counts once.
     """
 
     coefficients: np.ndarray
+    v_terms: tuple = field(init=False, repr=False)
+    dv_terms: tuple = field(init=False, repr=False)
+    critical_points: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
@@ -309,6 +335,15 @@ class PolynomialPotential:
                 "coefficient and even degree >= 2"
             )
         object.__setattr__(self, "coefficients", _frozen_array(c, float))
+        dcoef = np.polynomial.polynomial.polyder(c)
+        object.__setattr__(self, "v_terms", _descending(c))
+        object.__setattr__(self, "dv_terms", _descending(dcoef))
+        # polyroots returns the roots sorted; V' has odd degree, so one is exactly real.
+        # A repeated root that comes back as one x twice is one critical point.
+        roots = np.polynomial.polynomial.polyroots(dcoef)
+        xs = dict.fromkeys(float(r.real) for r in roots if abs(r.imag) <= 1e-9 * (1.0 + abs(r)))
+        critical = tuple((x, _horner(*self.v_terms, x)) for x in xs)
+        object.__setattr__(self, "critical_points", critical)
 
     @property
     def degree(self) -> int:
@@ -318,41 +353,25 @@ class PolynomialPotential:
         return float(self.coefficients[k]) if k < self.coefficients.size else 0.0
 
     def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coefficients)
+        return _horner(*self.v_terms, x)
 
     def slope(self, x):
-        return np.polynomial.polynomial.polyval(
-            x, np.polynomial.polynomial.polyder(self.coefficients)
-        )
+        return _horner(*self.dv_terms, x)
 
     def minimum(self) -> tuple[float, float]:
-        """Location and value of the global minimum, solved once per instance."""
-        cached = self.__dict__.get("_minimum")
-        if cached is None:
-            cached = self._solve_minimum()
-            object.__setattr__(self, "_minimum", cached)
-        return cached
-
-    def _solve_minimum(self) -> tuple[float, float]:
-        dcoef = np.polynomial.polynomial.polyder(self.coefficients)
-        roots = np.polynomial.polynomial.polyroots(dcoef)
-        candidates = [r.real for r in np.atleast_1d(roots) if abs(r.imag) <= 1e-9 * (1.0 + abs(r))]
-        if not candidates:
-            candidates = [0.0]
-        values = [float(self(x)) for x in candidates]
-        best = int(np.argmin(values))
-        return float(candidates[best]), values[best]
+        """Location and value of the global minimum, the leftmost lowest critical point."""
+        return min(self.critical_points, key=lambda point: point[1])
 
 
 def _potential_matrix(potential: PolynomialPotential, x: np.ndarray) -> np.ndarray:
     # Horner evaluation of V at the matrix argument.
-    c = potential.coefficients
+    top, rest = potential.v_terms
     n = x.shape[0]
     result = np.zeros((n, n))
-    np.fill_diagonal(result, c[-1])
-    for k in range(c.size - 2, -1, -1):
+    np.fill_diagonal(result, top)
+    for c in rest:
         result = result @ x
-        result[np.diag_indices(n)] += c[k]
+        result[np.diag_indices(n)] += c
     return result
 
 

@@ -43,10 +43,6 @@ from .spectral import (
     transition_frequencies,
 )
 
-SHO_POTENTIAL = PolynomialPotential((0.0, 0.0, 0.5))
-PURE_QUARTIC = PolynomialPotential((0.0, 0.0, 0.0, 0.0, 0.25))
-PERTURBED_QUARTIC = PolynomialPotential((0.0, 0.0, 0.5, 0.0, 0.05))
-
 QUARTIC_BASIS = 160
 QUARTIC_KEEP = 40
 QUARTIC_ALPHA = 9
@@ -63,6 +59,11 @@ def _result(name, passed, detail) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
+def _worst(*values) -> float:
+    """Largest of the figures, NaN if any is NaN, so that a NaN figure fails its check."""
+    return float(np.max(values))
+
+
 class _Lab:
     """Shared systems for the checks, built once per verification run."""
 
@@ -70,6 +71,10 @@ class _Lab:
         self.perturb = perturb
         constants = PhysicalConstants()
         self.constants = constants
+        # built here, not at import: a potential solves its critical points when built
+        self.sho = PolynomialPotential((0.0, 0.0, 0.5))
+        self.pure_quartic = PolynomialPotential((0.0, 0.0, 0.0, 0.0, 0.25))
+        self.perturbed_quartic = PolynomialPotential((0.0, 0.0, 0.5, 0.0, 0.05))
 
         self.osc_system, osc_pair = build_oscillator(constants, 64)
         self.osc_x = self._maybe_perturb(osc_pair.x)
@@ -77,7 +82,7 @@ class _Lab:
         self.osc_p = momentum_from_position(self.osc_x, self.osc_freq, constants.mass)
 
         self.quartic_system, quartic_pair = build_from_potential(
-            PERTURBED_QUARTIC, constants, QUARTIC_BASIS, QUARTIC_KEEP
+            self.perturbed_quartic, constants, QUARTIC_BASIS, QUARTIC_KEEP
         )
         self.quartic_x = self._maybe_perturb(quartic_pair.x)
         self.quartic_freq = transition_frequencies(self.quartic_system)
@@ -119,8 +124,8 @@ def check_sum_rule_values(lab: _Lab) -> CheckResult:
     for n in range(63):
         m25 = modified_sum(lab.osc_x, lab.osc_freq, 1.0, n, 1)
         m14 = born_jordan_sum(lab.osc_x, lab.osc_freq, 1.0, n, 1)
-        worst_value = max(worst_value, abs(m25 - 1.0), abs(m14 - 1.0))
-        worst_pairing = max(worst_pairing, abs(m14 - m25))
+        worst_value = _worst(worst_value, abs(m25 - 1.0), abs(m14 - 1.0))
+        worst_pairing = _worst(worst_pairing, abs(m14 - m25))
     passed = worst_value <= 1e-10 and worst_pairing <= 1e-12
     return _result(
         "sum-rule-values",
@@ -135,7 +140,7 @@ def check_constrained_zero(lab: _Lab) -> CheckResult:
     constrained = impose_heisenberg_reality(table)
     worst = 0.0
     for n in range(1, 63):
-        worst = max(worst, abs(heisenberg_sum(constrained, lab.osc_freq, 1.0, n, 1)))
+        worst = _worst(worst, abs(heisenberg_sum(constrained, lab.osc_freq, 1.0, n, 1)))
     passed = worst <= 1e-12
     return _result("constrained-zero", passed, f"max|value|={worst:.2e}")
 
@@ -167,7 +172,7 @@ def check_quartic_system(lab: _Lab) -> CheckResult:
     worst_sum = 0.0
     for n in range(31):
         value = modified_sum(lab.quartic_x, lab.quartic_freq, 1.0, n, QUARTIC_ALPHA)
-        worst_sum = max(worst_sum, abs(value - 1.0))
+        worst_sum = _worst(worst_sum, abs(value - 1.0))
     passed = worst_comm <= 1e-8 and worst_sum <= 1e-8
     return _result(
         "quartic-system",
@@ -176,10 +181,10 @@ def check_quartic_system(lab: _Lab) -> CheckResult:
     )
 
 
-def check_classical_identities(_: _Lab) -> CheckResult:
+def check_classical_identities(lab: _Lab) -> CheckResult:
     """dJ/dE = T, action forms agree, oscillator quantization is exact."""
     worst_djde = 0.0
-    for potential in (SHO_POTENTIAL, PURE_QUARTIC):
+    for potential in (lab.sho, lab.pure_quartic):
         for energy in (0.5, 1.0, 2.0, 4.0, 8.0):
             step = 1e-4 * energy
             slope = (
@@ -187,18 +192,18 @@ def check_classical_identities(_: _Lab) -> CheckResult:
                 - action_direct(potential, energy - step, 1.0)
             ) / (2.0 * step)
             period = orbit_period(potential, energy, 1.0)
-            worst_djde = max(worst_djde, abs(slope - period) / period)
+            worst_djde = _worst(worst_djde, abs(slope - period) / period)
     worst_parseval = 0.0
-    for potential, amax in ((SHO_POTENTIAL, 11), (PURE_QUARTIC, 13)):
+    for potential, amax in ((lab.sho, 11), (lab.pure_quartic, 13)):
         orbit = orbit_fourier(potential, 1.0, 1.0, alpha_max=amax)
         direct = action_direct(potential, 1.0, 1.0)
-        worst_parseval = max(
+        worst_parseval = _worst(
             worst_parseval, abs(action_from_fourier(orbit) - direct) / direct
         )
     worst_quant = 0.0
     for n in range(21):
-        level = quantize(SHO_POTENTIAL, 1.0, 1.0, 0.0, n)
-        worst_quant = max(worst_quant, abs(level.energy - float(n)))
+        level = quantize(lab.sho, 1.0, 1.0, 0.0, n)
+        worst_quant = _worst(worst_quant, abs(level.energy - float(n)))
     passed = worst_djde <= 1e-6 and worst_parseval <= 1e-6 and worst_quant <= 1e-9
     return _result(
         "classical-identities",
@@ -216,13 +221,13 @@ def check_correspondence(lab: _Lab) -> CheckResult:
         pair = MatrixPair(x=x, p=momentum_from_position(x, freq, 1.0))
     worst_sho = 0.0
     for n in (1, 5, 20):
-        report = correspondence_report(pair, system, SHO_POTENTIAL, n, 1, "mean")
+        report = correspondence_report(pair, system, lab.sho, n, 1, "mean")
         row = report.rows[0]
-        worst_sho = max(worst_sho, abs(row.quantum_amp - row.classical_amp))
+        worst_sho = _worst(worst_sho, abs(row.quantum_amp - row.classical_amp))
     quartic_report = correspondence_report(
         lab.quartic_matrix_pair(),
         lab.quartic_system,
-        PERTURBED_QUARTIC,
+        lab.perturbed_quartic,
         20,
         1,
         "mean",
@@ -253,26 +258,30 @@ def check_rephasing_invariance(lab: _Lab) -> CheckResult:
         xr = phases[:, None] * x * phases.conj()[None, :]
         pr = phases[:, None] * p * phases.conj()[None, :]
         comm_r = np.diag(commutator(xr, pr))
-        worst = max(worst, float(np.max(np.abs(comm_r - base_comm))))
+        worst = _worst(worst, *np.abs(comm_r - base_comm))
         for n in states:
-            worst = max(worst, abs(born_jordan_sum(xr, freq, 1.0, n, 1) - base14[n]))
-            worst = max(worst, abs(modified_sum(xr, freq, 1.0, n, 1) - base25[n]))
+            worst = _worst(worst, abs(born_jordan_sum(xr, freq, 1.0, n, 1) - base14[n]))
+            worst = _worst(worst, abs(modified_sum(xr, freq, 1.0, n, 1) - base25[n]))
     passed = worst <= 1e-12
     return _result("rephasing-invariance", passed, f"max change={worst:.2e}")
 
 
 def check_state_difference_realness(lab: _Lab) -> CheckResult:
-    """The discrete state derivative of the loop integral stays real."""
+    """The discrete state derivative of the loop integral is real and equals 2 pi hbar."""
+    h = 2.0 * math.pi * lab.constants.hbar
     worst = 0.0
+    worst_value = 0.0
     for x, p, hi in (
         (lab.osc_x, lab.osc_p, 62),
         (lab.quartic_x, lab.quartic_p, QUARTIC_KEEP - 1 - QUARTIC_ALPHA),
     ):
         for n in range(hi + 1):
             value = loop_integral_state_difference(x, p, n)
-            worst = max(worst, abs(value.imag) / abs(value))
-    passed = worst <= 1e-10
-    return _result("state-difference-realness", passed, f"max |Im|/|value|={worst:.2e}")
+            worst = _worst(worst, abs(value.imag) / abs(value))
+            worst_value = _worst(worst_value, abs(value - h) / h)
+    passed = worst <= 1e-10 and worst_value <= 1e-8
+    detail = f"max |Im|/|value|={worst:.2e} max|value-h|/h={worst_value:.2e}"
+    return _result("state-difference-realness", passed, detail)
 
 
 CHECKS = (

@@ -5,11 +5,16 @@ verification checks (the same ones `mmlab verify` executes); criterion 10
 exercises the CLI itself, including the induced-perturbation failure path.
 """
 
+import math
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 
+from mmlab import verify
+from mmlab.spectral import PhysicalConstants
 from mmlab.verify import run_all
 
 CRITERIA = (
@@ -56,3 +61,18 @@ def test_criterion_verify_cli():
     assert clean.returncode == 0, clean.stdout + clean.stderr
     assert "9/9 checks passed" in clean.stdout
     assert perturbed.returncode == 4, perturbed.stdout + perturbed.stderr
+
+
+def test_state_difference_fails_under_perturbation():
+    results = {result.name: result for result in run_all(perturb=1e-3)}
+    assert not results["state-difference-realness"].passed
+
+
+def test_nan_state_difference_fails(monkeypatch):
+    eye = np.eye(64, dtype=complex)
+    lab = types.SimpleNamespace(
+        constants=PhysicalConstants(), osc_x=eye, osc_p=eye, quartic_x=eye, quartic_p=eye
+    )
+    nan = complex(math.nan, 0.0)
+    monkeypatch.setattr(verify, "loop_integral_state_difference", lambda x, p, n: nan)
+    assert not verify.check_state_difference_realness(lab).passed

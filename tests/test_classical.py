@@ -34,6 +34,14 @@ class TestTurningPoints:
         with pytest.raises(M.UnsupportedTopologyError):
             M.turning_points(DOUBLE_WELL, 0.5)
 
+    def test_energy_at_a_repeated_critical_point_counts_it_once(self):
+        # V' = 12 x^2 (x - 1): the inflection at 0 is a double root of V', solved twice
+        inflected = M.PolynomialPotential((0.0, 0.0, 0.0, -4.0, 3.0))
+        assert [x for x, _ in inflected.critical_points] == [0.0, 1.0]
+        lo, hi = M.turning_points(inflected, 0.0)
+        assert abs(lo) <= 1e-12
+        assert hi == pytest.approx(4.0 / 3.0, abs=1e-12)
+
     def test_above_barrier_double_well_accepted(self):
         lo, hi = M.turning_points(DOUBLE_WELL, 2.0)
         expected = math.sqrt(1.0 + math.sqrt(2.0))
@@ -523,3 +531,33 @@ class TestBitIdenticalToPolyvalReference:
         with pytest.raises(M.UnsupportedTopologyError) as ref:
             _ref_quantize(DOUBLE_WELL, 1.0, 0.5, 0.0, 1)
         assert str(new.value) == str(ref.value)
+
+
+def _classical_results():
+    """repr of every classical entry point on the module's potentials, built at import."""
+    out = []
+    for name in sorted(ALL):
+        energy = _energies(name)[1]
+        out.append(M.turning_points(ALL[name], energy))
+        out.append(M.action_direct(ALL[name], energy, 1.0))
+        out.append(M.orbit_period(ALL[name], energy, 2.0))
+        orbit = M.orbit_fourier(ALL[name], energy, 0.5, alpha_max=4)
+        out.append((orbit.x_minus, orbit.x_plus, orbit.period, orbit.fourier))
+    for name in sorted(CONVEX):
+        result = M.quantize(CONVEX[name], 1.0, 1.0, math.pi, 1)
+        out.append((result.energy, result.action, result.converged, result.iterations))
+    with pytest.raises(M.UnsupportedTopologyError) as below:
+        M.quantize(DOUBLE_WELL, 1.0, 0.5, 0.0, 1)
+    out.append(str(below.value))
+    return repr(out)
+
+
+def test_no_polynomial_solve_or_polyval_after_construction(monkeypatch):
+    expected = _classical_results()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy polynomial routine called after construction")
+
+    for name in ("polyroots", "polyval", "polyder"):
+        monkeypatch.setattr(np.polynomial.polynomial, name, forbidden)
+    assert _classical_results() == expected

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mmlab as M
-from mmlab.classical import _descending, _horner
+from mmlab.spectral import _descending, _horner
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -21,12 +21,24 @@ coefficient = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     lower=st.lists(coefficient, min_size=0, max_size=8),
     top=st.floats(1e-6, 1e3),
     x=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e8, 1e8), st.sampled_from([0.0, -0.0])),
+    xs=st.lists(
+        st.one_of(st.floats(-10.0, 10.0), st.floats(-1e8, 1e8), st.sampled_from([0.0, -0.0])),
+        min_size=1,
+        max_size=6,
+    ),
 )
-def test_horner_equals_polyval_bitwise(lower, top, x):
+def test_horner_equals_polyval_bitwise(lower, top, x, xs):
     coeffs = np.array(lower + [top])
     new = _horner(*_descending(coeffs), x)
     ref = np.polynomial.polynomial.polyval(x, coeffs)
     assert repr(new) == repr(float(ref))
+    # the array argument of PolynomialPotential.__call__ and the quadrature samples; a
+    # constant, which polyval broadcasts over the array, is no potential (degree >= 2)
+    assume(lower)
+    new_array = _horner(*_descending(coeffs), np.array(xs))
+    ref_array = np.polynomial.polynomial.polyval(np.array(xs), coeffs)
+    assert new_array.dtype == ref_array.dtype
+    assert new_array.tobytes() == ref_array.tobytes()
 
 
 @st.composite
@@ -70,3 +82,89 @@ def test_below_barrier_double_well_rejected(barrier, width, fraction):
     potential = M.PolynomialPotential((barrier, 0.0, -2.0 * barrier / width**2, 0.0, a))
     with pytest.raises(M.UnsupportedTopologyError):
         M.turning_points(potential, fraction * barrier)
+
+
+@st.composite
+def double_wells(draw):
+    """Tilted quartic double wells and sextics whose c_2 and c_4 may be negative, so
+    the well can have one, two or three minima."""
+    if draw(st.booleans()):
+        barrier, width = draw(st.floats(0.1, 4.0)), draw(st.floats(0.3, 3.0))
+        tilt = draw(st.floats(-0.5, 0.5)) * barrier / width
+        c = (barrier, tilt, -2.0 * barrier / width**2, 0.0, barrier / width**4)
+    else:
+        c = (
+            draw(st.floats(-1.0, 1.0)),
+            draw(st.floats(-0.3, 0.3)),
+            draw(st.floats(-2.0, 2.0)),
+            draw(st.floats(-0.3, 0.3)),
+            draw(st.floats(-1.0, 1.0)),
+            draw(st.floats(-0.1, 0.1)),
+            draw(st.floats(0.01, 0.5)),
+        )
+    return M.PolynomialPotential(c)
+
+
+def _polyroots_count(potential, energy):
+    """Distinct real solutions of V(x) = E as the root solve of the topology check counted them."""
+    shifted = potential.coefficients.copy()
+    shifted[0] -= energy
+    roots = np.polynomial.polynomial.polyroots(shifted)
+    real = sorted(
+        r.real for r in np.atleast_1d(roots) if abs(r.imag) <= 1e-8 * (1.0 + abs(r))
+    )
+    distinct = []
+    for r in real:
+        if not distinct or abs(r - distinct[-1]) > 1e-8 * (1.0 + abs(r)):
+            distinct.append(r)
+    return len(distinct)
+
+
+def _check_topology(potential, energy, expected):
+    if expected > 2:
+        with pytest.raises(M.UnsupportedTopologyError) as info:
+            M.turning_points(potential, energy)
+        assert str(info.value).startswith(f"{expected} turning points at energy {energy};")
+    else:
+        x_lo, x_hi = M.turning_points(potential, energy)
+        assert x_lo < x_hi
+
+
+@SETTINGS
+@given(
+    potential=st.one_of(convex_potentials(), double_wells()),
+    pick=st.integers(0, 4),
+    offset=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12, -1e-3, -1e-6, -1e-9, -1e-12, None]),
+    depth=st.floats(1e-3, 20.0),
+)
+def test_topology_check_agrees_with_the_root_solve_away_from_critical_values(
+    potential, pick, offset, depth
+):
+    values = [v for _, v in potential.critical_points]
+    v_min = potential.minimum()[1]
+    if offset is None:
+        energy = v_min + depth
+    else:
+        v = values[pick % len(values)]
+        energy = v + offset * max(abs(v), 1.0)
+    # the offsets are 1e-12 relative and more, up to the rounding of E
+    assume(energy > v_min)
+    assume(all(abs(energy - v) >= 0.99e-12 * max(abs(v), 1.0) for v in values))
+    _check_topology(potential, energy, _polyroots_count(potential, energy))
+
+
+@SETTINGS
+@given(potential=double_wells(), pick=st.integers(0, 4))
+def test_topology_check_at_a_critical_value_counts_exactly(potential, pick):
+    values = [v for _, v in potential.critical_points]
+    v_min = potential.minimum()[1]
+    above = [v for v in values if v > v_min]
+    assume(above)
+    energy = above[pick % len(above)]
+    # V is monotone between critical points: one solution on each stretch whose end
+    # values lie strictly on both sides of E, one at each critical point at E
+    ends = [math.inf, *values, math.inf]
+    expected = values.count(energy) + sum(
+        min(a, b) < energy < max(a, b) for a, b in zip(ends, ends[1:])
+    )
+    _check_topology(potential, energy, expected)

@@ -238,3 +238,23 @@ class TestRunConfigValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {option} must be finite")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_perturb_is_invalid_argument(capsys, value):
+    assert run_cli(["verify", f"--perturb={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: perturb must be finite, got {float(value)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("coeffs, mass", [("0,0,2", "1"), ("0,0,4.5", "2")])
+@pytest.mark.parametrize("omega", ["1", "5"])
+def test_potential_rewrite_reads_the_spectrum_not_omega(capsys, coeffs, mass, omega):
+    # a harmonic potential is the oscillator of frequency sqrt(2 c_2 / m), whatever --omega says
+    code = run_cli(["potential", "--coeffs", coeffs, "--m", mass, "--omega", omega,
+                    "--size", "8"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert abs(rows[0]["bj_alternative"] - 1.0 / math.sqrt(2.0)) <= 1e-8
+    assert abs(rows[1]["bj_alternative"] - math.sqrt(6.0) / 2.0) <= 1e-8

@@ -97,6 +97,29 @@ class TestCommutator:
             M.commutator(np.eye(2), np.eye(3))
 
 
+_WIDE = np.ones((3, 4))
+_FREQ3 = M.FrequencyTable(np.zeros((3, 3)))
+_NON_SQUARE_CALLS = [
+    (M.commutator, (_WIDE, _WIDE)),
+    (M.heisenberg_sum, (_WIDE, _FREQ3, 1.0, 1, 1)),
+    (M.modified_sum, (_WIDE, _FREQ3, 1.0, 1, 1)),
+    (M.born_jordan_sum, (_WIDE, _FREQ3, 1.0, 1, 1)),
+    (M.nearest_neighbor_rewrite, (_WIDE, 1.0, 1.0, 1)),
+    (M.commutator_diagonal_sum, (_WIDE, _WIDE, 1, 1)),
+    (M.loop_integral_diagonal, (_WIDE, _WIDE, _FREQ3, 1, 1.0)),
+    (M.loop_integral_diagonal_conjugate, (_WIDE, _WIDE, _FREQ3, 1, 1.0)),
+    (M.loop_integral_state_difference, (_WIDE, _WIDE, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args", _NON_SQUARE_CALLS, ids=[f.__name__ for f, _ in _NON_SQUARE_CALLS]
+)
+def test_non_square_matrix_rejected(function, args):
+    with pytest.raises(ValueError, match="square"):
+        function(*args)
+
+
 class TestHeisenbergSum:
     def test_oscillator_interior(self, osc8_parts):
         _, pair, freq = osc8_parts
