@@ -21,7 +21,6 @@ from .classical import (
 from .conditions import (
     ConditionReport,
     ConditionRow,
-    born_difference,
     born_jordan_sum,
     commutator,
     commutator_diagonal_sum,
@@ -29,7 +28,6 @@ from .conditions import (
     heisenberg_sum,
     impose_heisenberg_reality,
     loop_integral_diagonal,
-    loop_integral_diagonal_conjugate,
     loop_integral_state_difference,
     modified_sum,
     nearest_neighbor_rewrite,
@@ -71,7 +69,6 @@ __all__ = [
     "UnsupportedTopologyError",
     "action_direct",
     "action_from_fourier",
-    "born_difference",
     "born_jordan_sum",
     "build_from_potential",
     "build_oscillator",
@@ -84,7 +81,6 @@ __all__ = [
     "impose_heisenberg_reality",
     "jacobi_eigh",
     "loop_integral_diagonal",
-    "loop_integral_diagonal_conjugate",
     "loop_integral_state_difference",
     "matrix_bandwidth",
     "modified_sum",

@@ -15,10 +15,11 @@ finite hermitian matrix:
   by side.
 * ``nearest_neighbor_rewrite`` is the tempting oscillator-only rearrangement
   that fails quantitatively at small state labels.
-* ``commutator_diagonal_sum`` and the loop-integral helpers express the
-  diagonal of XP - PX as banded sums, which is how the difference rule in
-  ``born_difference`` connects the classical action derivative to the
-  commutation relation.
+* ``commutator_diagonal_sum`` and ``loop_integral_state_difference`` are two
+  views of one per-state evaluator of the diagonal of XP - PX.  The paper's
+  state difference of the loop integral is -2 pi i [X, P](n, n), so -2 pi i
+  times a report's ``comm_diag`` is that state difference, 2 pi hbar away
+  from the truncation edge.
 
 ``full_report`` bundles all of the above per state, together with off-diagonal
 and truncation-edge diagnostics of the commutator.
@@ -39,7 +40,6 @@ from .spectral import (
     SpectralSystem,
     _square,
     matrix_bandwidth,
-    momentum_from_position,
     to_amplitude_table,
     transition_frequencies,
 )
@@ -93,35 +93,24 @@ def _band(source, lo: int, hi: int, row: int, col: int) -> np.ndarray:
     return out
 
 
-def _band_sum(lo: int, hi: int, alpha_max: int, up, down) -> np.ndarray:
-    """Banded sums sum_a {T_up(a) - T_down(a)} for every state n = lo..hi at once.
+def _frequency_sum(left, right, freq: FrequencyTable, mass, lo, hi, alpha_max) -> np.ndarray:
+    """m * sum_a {L(n,n+a) R(n+a,n) w(n+a,n) - L(n,n-a) R(n-a,n) w(n,n-a)} for n = lo..hi.
 
-    Each term is a spec ``(left, right, weight, sign)`` that reads, at the jump
-    j = sign * a, the product L(n, n+j) R(n+j, n) w(n+j, n) along the j-th
-    diagonals; ``left=None`` reads L(n, n+j) as conj(R(n+j, n)) and
-    ``weight=None`` drops the frequency factor.  Jumps run from -alpha_max to
+    Every state is one array lane read along the diagonals; ``left=None``
+    reads L(n, n+j) as conj(R(n+j, n)).  Jumps run from -alpha_max to
     alpha_max and each step adds the up term, then subtracts the down term,
     so every state is rounded exactly as a scalar loop in that order would be.
     """
 
-    def term(spec, a):
-        left, right, weight, sign = spec
-        j = sign * a
+    def term(j, weight):  # L(n, n+j) R(n+j, n) weight(n+j, n)
         r = _band(right, lo, hi, j, 0)
         product = _product(r.conj() if left is None else _band(left, lo, hi, 0, j), r)
-        return product if weight is None else _product(product, _band(weight, lo, hi, j, 0))
+        return _product(product, _band(weight, lo, hi, j, 0))
 
     total = np.zeros(hi - lo + 1, dtype=complex)
     for a in range(-alpha_max, alpha_max + 1):
-        total += term(up, a)
-        total -= term(down, a)
-    return total
-
-
-def _frequency_sum(left, right, freq: FrequencyTable, mass, lo, hi, alpha_max) -> np.ndarray:
-    # m * sum_a {L(n,n+a) R(n+a,n) w(n+a,n) - L(n,n-a) R(n-a,n) w(n,n-a)}
-    w = freq.omega
-    total = _band_sum(lo, hi, alpha_max, (left, right, w, 1), (left, right, w.T, -1))
+        total += term(a, freq.omega)
+        total -= term(-a, freq.omega.T)
     return _product(mass, total)
 
 
@@ -189,34 +178,31 @@ def nearest_neighbor_rewrite(x, mass: float, omega: float, n: int) -> float:
     return float(_nearest_neighbor_values(matrix, mass, omega, n, n)[0].real)
 
 
-def commutator_diagonal_sum(x, p, n: int, alpha_max: int) -> complex:
-    """Banded diagonal element sum_a {P(n+a,n) X(n,n+a) - P(n,n+a) X(n+a,n)}.
-
-    Equals commutator(X, P)[n, n] once alpha_max spans every nonzero band.
-    """
-    xm, pm = _square(x, p)
-    _check_window(n, xm.shape[0], alpha_max)
-    return complex(_band_sum(n, n, alpha_max, (xm, pm, None, 1), (pm, xm, None, 1))[0])
-
-
 def _ordered_sum(terms: np.ndarray) -> complex:
     # 0 + t0 + t1 + ... left to right, the rounding of a scalar accumulation loop
     return complex(np.add.accumulate(np.concatenate(([0j], terms)))[-1])
 
 
-def _loop_integral_terms(x, p, freq: FrequencyTable, n: int, period: float, conjugate: bool):
-    # i w(n,k) P(n,k) X(k,n) (or P(k,n) X(n,k)) for k = N-1 down to 0, the order of a
-    # loop over a = n - k from n - N + 1 to n
+def _commutator_diagonal(x, p, n: int, alpha_max: int | None) -> complex:
+    """[X, P](n, n) = sum_k {X(n,k) P(k,n) - P(n,k) X(k,n)}, summed left to right.
+
+    k runs over n - alpha_max .. n + alpha_max inside the matrix, or over every
+    state when ``alpha_max`` is None.
+    """
     xm, pm = _square(x, p)
     size = xm.shape[0]
-    _check_window(n, size, 0)
-    if period <= 0.0:
-        raise ValueError("period must be positive")
-    w = np.zeros(size)
-    if n < freq.size:
-        w[: freq.size] = freq.omega[n, :size]
-    p_part, x_part = (pm[:, n], xm[n, :]) if conjugate else (pm[n, :], xm[:, n])
-    return _product(_product(_product(1j, w), p_part), x_part)[::-1]
+    _check_window(n, size, alpha_max or 0)
+    reach = size if alpha_max is None else alpha_max
+    k = slice(max(0, n - reach), max(0, n + reach + 1))
+    return _ordered_sum(_product(xm[n, k], pm[k, n]) - _product(pm[n, k], xm[k, n]))
+
+
+def commutator_diagonal_sum(x, p, n: int, alpha_max: int) -> complex:
+    """Banded diagonal element sum_a {P(n+a,n) X(n,n+a) - P(n,n+a) X(n+a,n)}.
+
+    Equals commutator(X, P)[n, n] once alpha_max spans every nonzero band.
+    """
+    return _commutator_diagonal(x, p, n, alpha_max)
 
 
 def loop_integral_diagonal(x, p, freq: FrequencyTable, n: int, period: float) -> complex:
@@ -227,52 +213,28 @@ def loop_integral_diagonal(x, p, freq: FrequencyTable, n: int, period: float) ->
     in time and the loop integral over an interval T is just T times the sum.
     For the oscillator over one period this reproduces 2 pi E_n / omega.
     """
-    terms = _loop_integral_terms(x, p, freq, n, period, conjugate=False)
+    xm, pm = _square(x, p)
+    size = xm.shape[0]
+    _check_window(n, size, 0)
+    if period <= 0.0:
+        raise ValueError("period must be positive")
+    w = np.zeros(size)
+    if n < freq.size:
+        w[: freq.size] = freq.omega[n, :size]
+    # k = N-1 down to 0, the order of a loop over a = n - k from n - N + 1 to n
+    terms = _product(_product(_product(1j, w), pm[n, :]), xm[:, n])[::-1]
     return -period * _ordered_sum(terms)
-
-
-def loop_integral_diagonal_conjugate(
-    x, p, freq: FrequencyTable, n: int, period: float
-) -> complex:
-    """Conjugate-form companion, ``T * sum_a i w(n, n-a) P(n-a, n) X(n, n-a)``.
-
-    For hermitian X and P this is the complex conjugate of
-    :func:`loop_integral_diagonal`.
-    """
-    terms = _loop_integral_terms(x, p, freq, n, period, conjugate=True)
-    return period * _ordered_sum(terms)
 
 
 def loop_integral_state_difference(x, p, n: int) -> complex:
     """Discrete state derivative of the loop integral,
-    ``-2 pi i sum_a P(n+a,n) X(n,n+a) + 2 pi i sum_a P(n,n-a) X(n-a,n)``.
+    ``-2 pi i sum_a {P(n+a,n) X(n,n+a) - P(n,n-a) X(n-a,n)}``, which is
+    -2 pi i [X, P](n, n) over every jump a.
 
-    For hermitian X, P the two sums are complex conjugates, so the combination
-    is real; away from the truncation edge it equals 2 pi hbar.
+    For hermitian X, P each term is purely imaginary, so the value is real;
+    away from the truncation edge it equals 2 pi hbar.
     """
-    xm, pm = _square(x, p)
-    _check_window(n, xm.shape[0], 0)
-    first = _ordered_sum(_product(pm[:, n], xm[n, :]))
-    second = _ordered_sum(_product(pm[n, :], xm[:, n])[::-1])
-    return -2j * math.pi * first + 2j * math.pi * second
-
-
-def born_difference(term, n: int, alpha: int) -> complex:
-    """Difference rule replacing the scaled state derivative of a transition term.
-
-    For a family of values attached to (row, column) label pairs, the term
-    ``alpha * d/dn`` applied to the (n, n - alpha) member is replaced by the
-    up-shifted pair minus the base pair,
-
-        term(n + alpha, n) - term(n, n - alpha),
-
-    with missing pairs read as zero.  Summed over alpha, the rule applied to
-    the family term(r, c) = P(r, c) X(c, r) reproduces the banded commutator
-    diagonal of :func:`commutator_diagonal_sum`.
-    """
-    up = complex(term.get((n + alpha, n), 0.0))
-    base = complex(term.get((n, n - alpha), 0.0))
-    return up - base
+    return -2j * math.pi * _commutator_diagonal(x, p, n, None)
 
 
 def impose_heisenberg_reality(table: AmplitudeTable) -> AmplitudeTable:
@@ -378,7 +340,6 @@ def full_report(
     size = system.size
     mass = system.constants.mass
     hbar = system.constants.hbar
-    omega = system.constants.omega
     freq = transition_frequencies(system)
     band = matrix_bandwidth(x)
     if alpha_max is None:
@@ -388,6 +349,8 @@ def full_report(
     window_hi = size - 1 - alpha_max
     if window_hi < 0:
         raise ValueError("empty evaluation window: system too small for alpha_max")
+    # a potential's oscillator scale is its spectral w(1, 0), not the unused constants.omega
+    omega = float(freq.omega[1, 0]) if system.kind == "potential" else system.constants.omega
 
     comm = commutator(x, p)
     table = to_amplitude_table(x, (0, size - 1), alpha_max)
@@ -403,10 +366,8 @@ def full_report(
     # eq25 reads the same squared moduli from the matrix as eq4_hermitian
     eq25 = eq4_h
     if band <= 1:
-        # a potential's constants.omega is an unused option; its oscillator scale is w(1, 0)
-        scale = float(freq.omega[1, 0]) if system.kind == "potential" else omega
         bj = _real_or_raise(
-            _nearest_neighbor_values(x, mass, scale, 0, window_hi), hbar, "bj_alternative"
+            _nearest_neighbor_values(x, mass, omega, 0, window_hi), hbar, "bj_alternative"
         )
     else:
         bj = [math.nan] * (window_hi + 1)

@@ -83,7 +83,9 @@ class FrequencyTable:
         w = np.asarray(self.omega, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("frequency matrix must be square")
-        scale = 1.0 + float(np.max(np.abs(w))) if w.size else 1.0
+        if w.size < 1:
+            raise ValueError("frequency matrix must be nonempty")
+        scale = 1.0 + float(np.max(np.abs(w)))
         if float(np.max(np.abs(w + w.T))) > 1e-12 * scale:
             raise ValueError("frequency matrix must be antisymmetric")
         object.__setattr__(self, "omega", _frozen_array(w, float))
@@ -99,8 +101,9 @@ class FrequencyTable:
 def transition_frequencies(system: SpectralSystem) -> FrequencyTable:
     """Frequency table w(n, n') = (E_n - E_n') / hbar of a system.
 
-    Antisymmetry and the combination rule w(n, k) + w(k, n') = w(n, n') hold
-    exactly because every entry is a difference of one-index quantities.
+    Antisymmetry holds exactly, since a - b is -(b - a) in floating point.  The
+    combination rule w(n, k) + w(k, n') = w(n, n') holds only up to rounding of
+    the sum of two differences.
     """
     e = system.energies / system.constants.hbar
     return FrequencyTable(e[:, None] - e[None, :])

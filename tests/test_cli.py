@@ -255,6 +255,10 @@ def test_potential_rewrite_reads_the_spectrum_not_omega(capsys, coeffs, mass, om
     code = run_cli(["potential", "--coeffs", coeffs, "--m", mass, "--omega", omega,
                     "--size", "8"])
     assert code == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
+    report = json.loads(capsys.readouterr().out)
+    rows = report["rows"]
     assert abs(rows[0]["bj_alternative"] - 1.0 / math.sqrt(2.0)) <= 1e-8
     assert abs(rows[1]["bj_alternative"] - math.sqrt(6.0) / 2.0) <= 1e-8
+    # the recorded omega is the spectral w(1, 0) as well
+    spectral_omega = math.sqrt(2.0 * float(coeffs.split(",")[2]) / float(mass))
+    assert abs(report["system"]["constants"]["omega"] - spectral_omega) <= 1e-8

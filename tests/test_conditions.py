@@ -23,7 +23,6 @@ def reference_sum(name, x, p, w, n, jumps):
                             at(x, n, n - a) * at(x, n - a, n) * at(w, n, n - a)),
             "commutator": (at(p, n + a, n) * at(x, n, n + a), at(p, n, n + a) * at(x, n + a, n)),
             "loop": (-1j * at(w, n, n - a) * at(p, n, n - a) * at(x, n - a, n), 0.0),
-            "loop_conjugate": (1j * at(w, n, n - a) * at(p, n - a, n) * at(x, n, n - a), 0.0),
             "state_difference": (-2j * math.pi * at(p, n + a, n) * at(x, n, n + a),
                                  -2j * math.pi * at(p, n, n - a) * at(x, n - a, n)),
         }[name]
@@ -65,8 +64,6 @@ class TestReferenceDoubleLoop:
         for n in range(size):
             value = M.loop_integral_diagonal(x, p, freq, n, period)
             check(value, "loop", n, every_jump, period)
-            value = M.loop_integral_diagonal_conjugate(x, p, freq, n, period)
-            check(value, "loop_conjugate", n, every_jump, period)
             value = M.loop_integral_state_difference(x, p, n)
             check(value, "state_difference", n, every_jump)
 
@@ -107,7 +104,6 @@ _NON_SQUARE_CALLS = [
     (M.nearest_neighbor_rewrite, (_WIDE, 1.0, 1.0, 1)),
     (M.commutator_diagonal_sum, (_WIDE, _WIDE, 1, 1)),
     (M.loop_integral_diagonal, (_WIDE, _WIDE, _FREQ3, 1, 1.0)),
-    (M.loop_integral_diagonal_conjugate, (_WIDE, _WIDE, _FREQ3, 1, 1.0)),
     (M.loop_integral_state_difference, (_WIDE, _WIDE, 1)),
 ]
 
@@ -300,13 +296,6 @@ class TestLoopIntegral:
             value = M.loop_integral_diagonal(pair.x, pair.p, freq, n, 2 * math.pi)
             assert value.real == pytest.approx(2 * math.pi * system.energies[n], rel=1e-12)
 
-    def test_conjugate_form(self, osc8_parts):
-        _, pair, freq = osc8_parts
-        for n in range(8):
-            direct = M.loop_integral_diagonal(pair.x, pair.p, freq, n, 2 * math.pi)
-            conj = M.loop_integral_diagonal_conjugate(pair.x, pair.p, freq, n, 2 * math.pi)
-            assert abs(conj - direct.conjugate()) <= 1e-12
-
     def test_invalid_arguments(self, osc8_parts):
         _, pair, freq = osc8_parts
         with pytest.raises(ValueError):
@@ -328,35 +317,22 @@ class TestStateDifference:
             value = M.loop_integral_state_difference(pair.x, pair.p, n)
             assert abs(value.imag) <= 1e-10 * abs(value)
 
+    @pytest.mark.parametrize("size", [5, 12, 33])
+    def test_is_minus_two_pi_i_times_the_commutator_diagonal_bitwise(self, size):
+        rng = np.random.default_rng(1000 + size)
+        x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        p = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        expected = -2j * math.pi * M.commutator_diagonal_sum(x, p, 0, size - 1)
+        assert repr(M.loop_integral_state_difference(x, p, 0)) == repr(expected)
 
-class TestBornDifference:
-    def test_constant_family_vanishes(self):
-        term = {(r, c): 2.5 + 0.5j for r in range(6) for c in range(6)}
-        for alpha in (-2, -1, 0, 1, 2):
-            assert M.born_difference(term, 3, alpha) == 0j
-
-    def test_linear_row_family(self):
-        c = 0.7
-        term = {(r, col): c * r for r in range(10) for col in range(10)}
-        # rule: term(n + alpha, n) - term(n, n - alpha) = c * alpha
-        assert M.born_difference(term, 4, 1) == pytest.approx(c)
-        assert M.born_difference(term, 4, 3) == pytest.approx(3 * c)
-
-    def test_total_reproduces_commutator_diagonal(self, osc8_parts):
-        _, pair, _ = osc8_parts
-        term = {
-            (r, c): complex(pair.p[r, c] * pair.x[c, r])
-            for r in range(8)
-            for c in range(8)
-        }
-        for n in range(1, 7):
-            total = sum(M.born_difference(term, n, a) for a in (-1, 0, 1))
-            target = M.commutator_diagonal_sum(pair.x, pair.p, n, 1)
-            assert abs(total - target) <= 1e-12
-            assert total == pytest.approx(1j, abs=1e-12)
-
-    def test_missing_entries_read_as_zero(self):
-        assert M.born_difference({}, 0, 1) == 0j
+    @pytest.mark.parametrize("fixture, alpha_max", [("osc64", None), ("quartic40", 9)])
+    def test_is_minus_two_pi_i_times_the_report_diagonal(self, request, fixture, alpha_max):
+        system, pair = request.getfixturevalue(fixture)
+        report = M.full_report(system, pair, alpha_max)
+        h = 2 * math.pi * system.constants.hbar
+        for row in report.rows:
+            value = M.loop_integral_state_difference(pair.x, pair.p, row.n)
+            assert abs(-2j * math.pi * row.commutator_diag - value) <= 1e-13 * h
 
 
 class TestFullReport:

@@ -93,6 +93,11 @@ class TestFrequencies:
         for n, k, m_ in ((0, 7, 29), (3, 15, 20), (29, 1, 14)):
             assert abs(w[n, k] + w[k, m_] - w[n, m_]) <= 1e-15 * scale
 
+    def test_rejects_empty_table(self):
+        # numpy's own "zero-size array" ValueError would also satisfy a bare raises
+        with pytest.raises(ValueError, match="frequency matrix must be nonempty"):
+            M.FrequencyTable(np.zeros((0, 0)))
+
 
 class TestMomentumFromPosition:
     def test_oscillator_entry(self, osc8):
