@@ -1,10 +1,11 @@
 """Classical periodic orbits in confining 1-D polynomial potentials.
 
 Turning points, the period, the action integral and the orbit's Fourier
-coefficients are all computed with fixed deterministic resolutions.  The
-square-root endpoint singularity of the period and action integrands is
-removed with the substitution x = mid + half * sin(theta), after which
-Gauss-Legendre quadrature converges spectrally.  Orbits start at the right
+coefficients are all computed with fixed deterministic resolutions, the
+module constants ``GAUSS_NODES`` and ``RK4_STEPS``.  The square-root endpoint
+singularity of the period and action integrands is removed with the
+substitution x = mid + half * sin(theta), after which Gauss-Legendre
+quadrature converges spectrally.  Orbits start at the right
 turning point with zero velocity, which makes every Fourier coefficient real.
 
 The potential owns V (see :class:`mmlab.spectral.PolynomialPotential`): its
@@ -99,10 +100,10 @@ def turning_points(potential: PolynomialPotential, energy: float) -> tuple[float
     return crossing(-1.0), crossing(+1.0)
 
 
-def _well_samples(potential, energy, nodes, x_lo, x_hi):
+def _well_samples(potential, energy, x_lo, x_hi):
     mid = 0.5 * (x_lo + x_hi)
     half = 0.5 * (x_hi - x_lo)
-    sin_theta, cos_theta, w = _gauss_rule(nodes)
+    sin_theta, cos_theta, w = _gauss_rule(GAUSS_NODES)
     x = mid + half * sin_theta
     gap = energy - potential(x)
     if np.any(gap <= 0.0):
@@ -110,26 +111,20 @@ def _well_samples(potential, energy, nodes, x_lo, x_hi):
     return half * cos_theta, w, gap
 
 
-def _period(potential, energy, mass, nodes, x_lo, x_hi) -> float:
-    jacobian, w, gap = _well_samples(potential, energy, nodes, x_lo, x_hi)
+def _period(potential, energy, mass, x_lo, x_hi) -> float:
+    jacobian, w, gap = _well_samples(potential, energy, x_lo, x_hi)
     integrand = jacobian * np.sqrt(mass / (2.0 * gap))
     return float(2.0 * 0.5 * math.pi * np.dot(w, integrand))
 
 
-def orbit_period(
-    potential: PolynomialPotential, energy: float, mass: float, nodes: int = GAUSS_NODES
-) -> float:
+def orbit_period(potential: PolynomialPotential, energy: float, mass: float) -> float:
     """Period T = 2 integral dx sqrt(m / (2 (E - V(x)))) over one libration."""
-    return _period(potential, energy, mass, nodes, *turning_points(potential, energy))
+    return _period(potential, energy, mass, *turning_points(potential, energy))
 
 
-def action_direct(
-    potential: PolynomialPotential, energy: float, mass: float, nodes: int = GAUSS_NODES
-) -> float:
+def action_direct(potential: PolynomialPotential, energy: float, mass: float) -> float:
     """Action J = 2 integral dx sqrt(2 m (E - V(x))), the loop integral of p dx."""
-    jacobian, w, gap = _well_samples(
-        potential, energy, nodes, *turning_points(potential, energy)
-    )
+    jacobian, w, gap = _well_samples(potential, energy, *turning_points(potential, energy))
     integrand = jacobian * np.sqrt(2.0 * mass * gap)
     return float(2.0 * 0.5 * math.pi * np.dot(w, integrand))
 
@@ -176,8 +171,6 @@ def orbit_fourier(
     energy: float,
     mass: float,
     alpha_max: int,
-    rk_steps: int = RK4_STEPS,
-    nodes: int = GAUSS_NODES,
 ) -> ClassicalOrbit:
     """Integrate one period from the right turning point and Fourier-analyze it.
 
@@ -190,14 +183,14 @@ def orbit_fourier(
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
     x_lo, x_hi = turning_points(potential, energy)
-    period = _period(potential, energy, mass, nodes, x_lo, x_hi)
+    period = _period(potential, energy, mass, x_lo, x_hi)
     top, rest = potential.dv_terms
-    dt = period / rk_steps
+    dt = period / RK4_STEPS
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
     samples = []
     x, v = x_hi, 0.0
-    for _ in range(rk_steps):
+    for _ in range(RK4_STEPS):
         samples.append(x)
         k1x = v
         k1v = -_horner(top, rest, x) / mass
@@ -213,13 +206,13 @@ def orbit_fourier(
     drift = abs(0.5 * mass * v * v + float(potential(x)) - energy)
     if drift > ENERGY_DRIFT_TOL * max(abs(energy), 1e-30):
         raise NumericalError(
-            f"energy drifted by {drift:.3e} over one period; refine rk_steps"
+            f"energy drifted by {drift:.3e} over one period; refine RK4_STEPS"
         )
     base = 2.0 * math.pi / period
-    times = np.arange(rk_steps) * dt
+    times = np.arange(RK4_STEPS) * dt
     fourier = {}
     for a in range(-alpha_max, alpha_max + 1):
-        fourier[a] = complex(np.dot(samples, np.exp(-1j * a * base * times)) / rk_steps)
+        fourier[a] = complex(np.dot(samples, np.exp(-1j * a * base * times)) / RK4_STEPS)
     return ClassicalOrbit(
         potential=potential,
         energy=energy,

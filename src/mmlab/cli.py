@@ -9,8 +9,9 @@ and write a deterministic JSON or CSV artifact:
     mmlab correspondence --coeffs "0,0,0.5,0,0.05" --size 40 --alpha-max 2
     mmlab verify
 
-Options may also come from a plain-text config file of ``key = value`` lines
-('#' starts a comment); explicit flags override file values.  Exit codes:
+Each mode takes only the options its pipeline reads (``MODES``).  They may
+also come from a plain-text config file of ``key = value`` lines ('#' starts a
+comment); explicit flags override file values.  Exit codes:
 0 success, 2 invalid arguments or unreadable config, 3 numerical or I/O
 failure, 4 verification-suite failure.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .classical import orbit_fourier, quantize, correspondence_report
 from .conditions import full_report
@@ -39,14 +40,10 @@ from .spectral import (
 )
 from .verify import format_results, run_all
 
-_FLOAT_KEYS = ("m", "omega", "hbar", "j0")
-_INT_KEYS = ("size", "basis_size", "alpha_max")
-_STR_KEYS = ("energy_rule", "out", "format")
-
 
 @dataclass
 class RunConfig:
-    """One resolved invocation: mode plus every numeric and output option."""
+    """One resolved invocation; an option the mode does not read keeps its default."""
 
     mode: str
     m: float = 1.0
@@ -85,21 +82,49 @@ class RunConfig:
             raise ValueError(f"mode '{self.mode}' requires --coeffs")
 
 
-#: Option defaults of the pipeline modes, read off the RunConfig fields.
-DEFAULTS = {
-    f.name: f.default for f in fields(RunConfig) if f.name not in ("mode", "perturb")
-}
-
-
 def _parse_coeffs(text: str) -> tuple:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"cannot parse coefficient list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse coefficient list {text!r}") from exc
 
 
-def load_config_file(path: str) -> dict:
-    """Read ``key = value`` lines into an option dict."""
+#: Every pipeline option once, by config-file key: (converter, allowed values, help).
+OPTIONS = {
+    "m": (float, None, "particle mass"),
+    "omega": (float, None, "oscillator frequency"),
+    "hbar": (float, None, "action quantum"),
+    "size": (int, None, "retained states / levels"),
+    "basis_size": (int, None, "auxiliary basis size"),
+    "coeffs": (_parse_coeffs, None, 'potential "c0,c1,..."'),
+    "alpha_max": (int, None, "largest jump in the sums"),
+    "j0": (float, None, "action-rule offset"),
+    "energy_rule": (str, ("state", "mean"), "classical energy choice for correspondence rows"),
+    "out": (str, None, "output path (default stdout)"),
+    "format": (str, ("json", "csv"), "artifact format"),
+}
+
+#: Each pipeline mode's help line and the options its pipeline reads.
+MODES = {
+    "oscillator": ("closed-form oscillator condition report",
+                   ("m", "omega", "hbar", "size", "alpha_max")),
+    "potential": ("basis-set polynomial-potential condition report",
+                  ("m", "hbar", "size", "basis_size", "coeffs", "alpha_max")),
+    "classical": ("quantized classical levels with orbit data",
+                  ("m", "hbar", "size", "coeffs", "alpha_max", "j0")),
+    "correspondence": ("quantum vs classical amplitude comparison",
+                       ("m", "hbar", "size", "basis_size", "coeffs", "alpha_max", "energy_rule")),
+}
+
+
+def _keys(mode: str) -> tuple:
+    # every mode also writes an artifact
+    return (*MODES[mode][1], "out", "format")
+
+
+def load_config_file(path: str, mode: str) -> dict:
+    """Read ``key = value`` lines into a dict of the options ``mode`` reads."""
+    keys = _keys(mode)
     values: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -110,19 +135,11 @@ def load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            value = value.strip()
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown option {key!r} for mode {mode!r}")
             try:
-                if key in _FLOAT_KEYS:
-                    values[key] = float(value)
-                elif key in _INT_KEYS:
-                    values[key] = int(value)
-                elif key in _STR_KEYS:
-                    values[key] = value
-                elif key == "coeffs":
-                    values[key] = _parse_coeffs(value)
-                else:
-                    raise ValueError(f"unknown option {key!r}")
-            except ValueError as exc:
+                values[key] = OPTIONS[key][0](value.strip())
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
@@ -133,31 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-condition laboratory for 1-D bound systems",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--m", type=float, default=None, help="particle mass")
-        p.add_argument("--omega", type=float, default=None, help="oscillator frequency")
-        p.add_argument("--hbar", type=float, default=None, help="action quantum")
-        p.add_argument("--size", type=int, default=None, help="retained states / levels")
-        p.add_argument("--basis-size", type=int, default=None, help="auxiliary basis size")
-        p.add_argument("--coeffs", type=str, default=None, help='potential "c0,c1,..."')
-        p.add_argument("--alpha-max", type=int, default=None, help="largest jump in the sums")
-        p.add_argument("--j0", type=float, default=None, help="action-rule offset")
-        p.add_argument(
-            "--energy-rule", type=str, default=None, choices=("state", "mean"),
-            help="classical energy choice for correspondence rows",
-        )
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--format", type=str, default=None, choices=("json", "csv"))
-        p.add_argument("--config", type=str, default=None, help="key = value options file")
-
-    for name, blurb in (
-        ("oscillator", "closed-form oscillator condition report"),
-        ("potential", "basis-set polynomial-potential condition report"),
-        ("classical", "quantized classical levels with orbit data"),
-        ("correspondence", "quantum vs classical amplitude comparison"),
-    ):
-        add_shared(sub.add_parser(name, help=blurb))
+    for mode, (blurb, _) in MODES.items():
+        mode_parser = sub.add_parser(mode, help=blurb)
+        for key in _keys(mode):
+            convert, choices, text = OPTIONS[key]
+            mode_parser.add_argument(
+                "--" + key.replace("_", "-"), type=convert, choices=choices, help=text
+            )
+        mode_parser.add_argument("--config", help="key = value options file")
 
     verify = sub.add_parser("verify", help="run the acceptance verification suite")
     verify.add_argument(
@@ -170,15 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.mode == "verify":
         return RunConfig(mode="verify", perturb=args.perturb)
-    options = dict(DEFAULTS)
-    if args.config is not None:
-        options.update(load_config_file(args.config))
-    for key in (*_FLOAT_KEYS, *_INT_KEYS, *_STR_KEYS):
-        flag = getattr(args, key)
-        if flag is not None:
-            options[key] = flag
-    if args.coeffs is not None:
-        options["coeffs"] = _parse_coeffs(args.coeffs)
+    options = {} if args.config is None else load_config_file(args.config, args.mode)
+    for key in _keys(args.mode):
+        if getattr(args, key) is not None:
+            options[key] = getattr(args, key)
     return RunConfig(mode=args.mode, **options)
 
 
@@ -196,11 +191,16 @@ def _run_oscillator(config: RunConfig) -> None:
     _emit(config, serialize_report(report, config.format))
 
 
-def _run_potential(config: RunConfig) -> None:
-    constants = PhysicalConstants(mass=config.m, hbar=config.hbar, omega=config.omega)
+def _potential_system(config: RunConfig):
+    """The configured potential with its retained system and matrix pair."""
     potential = PolynomialPotential(config.coeffs)
+    constants = PhysicalConstants(mass=config.m, hbar=config.hbar)
     basis = config.basis_size if config.basis_size is not None else 4 * config.size
-    system, pair = build_from_potential(potential, constants, basis, config.size)
+    return (potential, *build_from_potential(potential, constants, basis, config.size))
+
+
+def _run_potential(config: RunConfig) -> None:
+    _, system, pair = _potential_system(config)
     report = full_report(system, pair, config.alpha_max)
     _emit(config, serialize_report(report, config.format))
 
@@ -227,10 +227,7 @@ def _run_classical(config: RunConfig) -> None:
 
 
 def _run_correspondence(config: RunConfig) -> None:
-    constants = PhysicalConstants(mass=config.m, hbar=config.hbar, omega=config.omega)
-    potential = PolynomialPotential(config.coeffs)
-    basis = config.basis_size if config.basis_size is not None else 4 * config.size
-    system, pair = build_from_potential(potential, constants, basis, config.size)
+    potential, system, pair = _potential_system(config)
     alpha_max = config.alpha_max if config.alpha_max is not None else 4
     reports = []
     for n in range(alpha_max, system.size - alpha_max):

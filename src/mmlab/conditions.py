@@ -55,6 +55,8 @@ def commutator(x, p) -> np.ndarray:
 
 
 def _check_window(n: int, size: int, alpha_max: int) -> None:
+    if alpha_max < 0:
+        raise ValueError("alpha_max must be nonnegative")
     if not 0 <= n < size:
         raise ValueError(f"state label {n} outside the system")
     if n + alpha_max > size - 1:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NumericalError
 
 OFFDIAG_TOL = 1e-13
-DEFAULT_MAX_SWEEPS = 100
+MAX_SWEEPS = 100
 
 
 def _round_robin(n: int) -> list:
@@ -83,27 +83,25 @@ def _offdiag_norm(a) -> float:
     return float(np.linalg.norm(a - np.diag(np.diag(a))))
 
 
-def jacobi_eigh(matrix, max_sweeps: int = DEFAULT_MAX_SWEEPS):
+def jacobi_eigh(matrix):
     """Diagonalize a real symmetric matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as orthonormal columns.  The input must be symmetric within
     ``1e-12`` relative Frobenius defect.  Convergence is tested before each
-    sweep; rotations whose pivot is at most ``1e-13 ||S||_F / n`` are
-    skipped.
+    sweep, at most ``MAX_SWEEPS`` times; rotations whose pivot is at most
+    ``1e-13 ||S||_F / n`` are skipped.
 
     Raises
     ------
     ValueError
         Non-square or insufficiently symmetric input.
     NumericalError
-        The sweep limit was exhausted before convergence.
+        ``MAX_SWEEPS`` sweeps ran without convergence.
     """
     s = np.asarray(matrix, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("jacobi_eigh expects a square matrix")
-    if max_sweeps < 0:
-        raise ValueError("max_sweeps must be nonnegative")
     n = s.shape[0]
     fro = float(np.linalg.norm(s))
     if np.linalg.norm(s - s.T) > 1e-12 * max(1.0, fro):
@@ -116,10 +114,8 @@ def jacobi_eigh(matrix, max_sweeps: int = DEFAULT_MAX_SWEEPS):
         rounds = _round_robin(n)
         sweeps = 0
         while not _offdiag_norm(a) <= thresh:  # NaN never counts as converged
-            if sweeps == max_sweeps:
-                raise NumericalError(
-                    f"Jacobi sweeps did not converge within {max_sweeps} sweeps"
-                )
+            if sweeps == MAX_SWEEPS:
+                raise NumericalError(f"Jacobi sweeps did not converge within {sweeps} sweeps")
             for p, q in rounds:
                 _rotate_round(a, vt, p, q, skip)
             sweeps += 1

@@ -86,8 +86,9 @@ class FrequencyTable:
         if w.size < 1:
             raise ValueError("frequency matrix must be nonempty")
         scale = 1.0 + float(np.max(np.abs(w)))
-        if float(np.max(np.abs(w + w.T))) > 1e-12 * scale:
-            raise ValueError("frequency matrix must be antisymmetric")
+        # not (defect <= tol) fails on NaN; an infinite scale would excuse any defect
+        if not (math.isfinite(scale) and float(np.max(np.abs(w + w.T))) <= 1e-12 * scale):
+            raise ValueError("frequency matrix must be finite and antisymmetric")
         object.__setattr__(self, "omega", _frozen_array(w, float))
 
     @property
@@ -135,9 +136,10 @@ class MatrixPair:
 
     def __post_init__(self):
         x, p = _square(self.x, self.p)
-        if hermiticity_defect(x) > HERMITICITY_TOL:
+        # not (defect <= tol): a NaN or infinite entry makes the defect NaN and fails
+        if not hermiticity_defect(x) <= HERMITICITY_TOL:
             raise ValueError("position matrix is not hermitian within tolerance")
-        if hermiticity_defect(p) > HERMITICITY_TOL:
+        if not hermiticity_defect(p) <= HERMITICITY_TOL:
             raise ValueError("momentum matrix is not hermitian within tolerance")
         object.__setattr__(self, "x", _frozen_array(x, complex))
         object.__setattr__(self, "p", _frozen_array(p, complex))
@@ -215,8 +217,9 @@ class AmplitudeTable:
         paired = (up >= 0) & (up < shape[0])
         herm = np.abs(amps - mirror[np.where(paired, up, 0), cols])[paired]
         real = np.abs(amps - mirror)[present & present[:, ::-1]]
-        object.__setattr__(self, "hermitian_consistent", not np.any(herm > 1e-12))
-        object.__setattr__(self, "heisenberg_real", not np.any(real > 1e-12))
+        # all(<= tol) so that a NaN or infinite amplitude reads inconsistent
+        object.__setattr__(self, "hermitian_consistent", bool(np.all(herm <= 1e-12)))
+        object.__setattr__(self, "heisenberg_real", bool(np.all(real <= 1e-12)))
 
     def present(self) -> np.ndarray:
         """Boolean (state, jump) grid of the pairs inside the matrix."""

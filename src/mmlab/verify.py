@@ -77,24 +77,21 @@ class _Lab:
         self.perturbed_quartic = PolynomialPotential((0.0, 0.0, 0.5, 0.0, 0.05))
 
         self.osc_system, osc_pair = build_oscillator(constants, 64)
-        self.osc_x = self._maybe_perturb(osc_pair.x)
-        self.osc_freq = transition_frequencies(self.osc_system)
-        self.osc_p = momentum_from_position(self.osc_x, self.osc_freq, constants.mass)
-
+        self.osc_x, self.osc_freq, self.osc_p = self.perturbed(self.osc_system, osc_pair)
         self.quartic_system, quartic_pair = build_from_potential(
             self.perturbed_quartic, constants, QUARTIC_BASIS, QUARTIC_KEEP
         )
-        self.quartic_x = self._maybe_perturb(quartic_pair.x)
-        self.quartic_freq = transition_frequencies(self.quartic_system)
-        self.quartic_p = momentum_from_position(
-            self.quartic_x, self.quartic_freq, constants.mass
+        self.quartic_x, self.quartic_freq, self.quartic_p = self.perturbed(
+            self.quartic_system, quartic_pair
         )
 
-    def _maybe_perturb(self, x):
-        x = np.array(x, dtype=complex)
+    def perturbed(self, system, pair):
+        """(X, w, P) of a built pair: X with the bump (if any), P rebuilt as i m w o X."""
+        x = np.array(pair.x, dtype=complex)
         if self.perturb:
             x[0, 1] += self.perturb
-        return x
+        freq = transition_frequencies(system)
+        return x, freq, momentum_from_position(x, freq, system.constants.mass)
 
     def quartic_matrix_pair(self) -> MatrixPair:
         return MatrixPair(x=self.quartic_x, p=self.quartic_p)
@@ -214,11 +211,9 @@ def check_classical_identities(lab: _Lab) -> CheckResult:
 
 def check_correspondence(lab: _Lab) -> CheckResult:
     """Amplitudes approach the classical Fourier coefficients state by state."""
-    system, pair = build_oscillator(lab.constants, 24)
-    if lab.perturb:
-        x = lab._maybe_perturb(pair.x)
-        freq = transition_frequencies(system)
-        pair = MatrixPair(x=x, p=momentum_from_position(x, freq, 1.0))
+    system, built = build_oscillator(lab.constants, 24)
+    x, _, p = lab.perturbed(system, built)
+    pair = MatrixPair(x=x, p=p)
     worst_sho = 0.0
     for n in (1, 5, 20):
         report = correspondence_report(pair, system, lab.sho, n, 1, "mean")
@@ -243,10 +238,7 @@ def check_correspondence(lab: _Lab) -> CheckResult:
 
 def check_rephasing_invariance(lab: _Lab) -> CheckResult:
     """Diagonal-unitary rephasings leave the condition sums untouched."""
-    system, pair = build_oscillator(lab.constants, 16)
-    x = lab._maybe_perturb(pair.x)
-    freq = transition_frequencies(system)
-    p = momentum_from_position(x, freq, 1.0)
+    x, freq, p = lab.perturbed(*build_oscillator(lab.constants, 16))
     states = range(15)
     base14 = [born_jordan_sum(x, freq, 1.0, n, 1) for n in states]
     base25 = [modified_sum(x, freq, 1.0, n, 1) for n in states]

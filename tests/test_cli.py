@@ -170,7 +170,7 @@ class TestConfigFile:
     )
     def test_conversion_error_names_its_line(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"# header\nomega = 2.0\n{line}\n")
+        cfg.write_text(f"# header\nm = 2.0\n{line}\n")
         assert run_cli(["potential", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}:3: ")
@@ -233,8 +233,8 @@ class TestRunConfigValidation:
     @pytest.mark.parametrize("option", ["m", "omega", "hbar", "j0"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_number_is_invalid_argument(self, capsys, option, value):
-        code = run_cli(["classical", "--coeffs", "0,0,0.5", "--size", "3",
-                        f"--{option}={value}"])
+        mode = ["oscillator"] if option == "omega" else ["classical", "--coeffs", "0,0,0.5"]
+        code = run_cli([*mode, "--size", "3", f"--{option}={value}"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {option} must be finite")
@@ -249,11 +249,9 @@ def test_non_finite_perturb_is_invalid_argument(capsys, value):
 
 
 @pytest.mark.parametrize("coeffs, mass", [("0,0,2", "1"), ("0,0,4.5", "2")])
-@pytest.mark.parametrize("omega", ["1", "5"])
-def test_potential_rewrite_reads_the_spectrum_not_omega(capsys, coeffs, mass, omega):
-    # a harmonic potential is the oscillator of frequency sqrt(2 c_2 / m), whatever --omega says
-    code = run_cli(["potential", "--coeffs", coeffs, "--m", mass, "--omega", omega,
-                    "--size", "8"])
+def test_potential_rewrite_reads_the_spectrum_not_omega(capsys, coeffs, mass):
+    # a harmonic potential is the oscillator of frequency sqrt(2 c_2 / m)
+    code = run_cli(["potential", "--coeffs", coeffs, "--m", mass, "--size", "8"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     rows = report["rows"]
@@ -262,3 +260,71 @@ def test_potential_rewrite_reads_the_spectrum_not_omega(capsys, coeffs, mass, om
     # the recorded omega is the spectral w(1, 0) as well
     spectral_omega = math.sqrt(2.0 * float(coeffs.split(",")[2]) / float(mass))
     assert abs(report["system"]["constants"]["omega"] - spectral_omega) <= 1e-8
+
+
+QUARTIC = "0,0,0.5,0,0.05"
+MODE_ARGV = {
+    "oscillator": ["oscillator", "--size", "6"],
+    "potential": ["potential", "--coeffs", QUARTIC, "--size", "6"],
+    "classical": ["classical", "--coeffs", QUARTIC, "--size", "2"],
+    "correspondence": ["correspondence", "--coeffs", QUARTIC, "--size", "8", "--alpha-max", "1"],
+}
+#: Two valid values of every pipeline option other than out, format and config.
+OPTION_VALUES = {
+    "m": ("1", "1.5"),
+    "omega": ("1", "2"),
+    "hbar": ("1", "0.8"),
+    "size": ("3", "4"),
+    "basis_size": ("24", "30"),
+    "coeffs": (QUARTIC, "0,0,0.5,0,0.1"),
+    "alpha_max": ("1", "2"),
+    "j0": ("0", "3.14"),
+    "energy_rule": ("mean", "state"),
+}
+#: Options that a mode's pipeline would not read; the parser rejects them.
+DEAD_OPTIONS = [
+    ("oscillator", "basis_size"), ("oscillator", "coeffs"), ("oscillator", "j0"),
+    ("oscillator", "energy_rule"), ("potential", "omega"), ("potential", "j0"),
+    ("potential", "energy_rule"), ("classical", "omega"), ("classical", "basis_size"),
+    ("classical", "energy_rule"), ("correspondence", "omega"), ("correspondence", "j0"),
+]
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _parser_accepts(mode, key):
+    _, unknown = cli.build_parser().parse_known_args([mode, _flag(key), OPTION_VALUES[key][0]])
+    return not unknown
+
+
+ACCEPTED_OPTIONS = [
+    (mode, key) for mode in MODE_ARGV for key in OPTION_VALUES if _parser_accepts(mode, key)
+]
+
+
+@pytest.mark.parametrize("mode, key", ACCEPTED_OPTIONS)
+def test_every_accepted_option_changes_the_artifact(capsys, mode, key):
+    artifacts = []
+    for value in OPTION_VALUES[key]:
+        assert run_cli([*MODE_ARGV[mode], _flag(key), value]) == 0
+        artifacts.append(capsys.readouterr().out)
+    assert artifacts[0] != artifacts[1]
+
+
+def test_options_split_into_accepted_and_dead():
+    every = {(mode, key) for mode in MODE_ARGV for key in OPTION_VALUES}
+    assert set(ACCEPTED_OPTIONS) == every - set(DEAD_OPTIONS)
+
+
+@pytest.mark.parametrize("mode, key", DEAD_OPTIONS)
+def test_dead_option_is_rejected(tmp_path, capsys, mode, key):
+    value = OPTION_VALUES[key][1]
+    assert run_cli([*MODE_ARGV[mode], _flag(key), value]) == 2
+    assert f"unrecognized arguments: {_flag(key)}" in capsys.readouterr().err
+    cfg = tmp_path / "dead.cfg"
+    cfg.write_text(f"# header\n{key} = {value}\n")
+    assert run_cli([*MODE_ARGV[mode], "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:2: unknown option {key!r} for mode {mode!r}\n"

@@ -133,6 +133,24 @@ class TestHeisenbergSum:
             M.heisenberg_sum(pair.x, freq, 1.0, -1, 1)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda x, p, freq, table: M.commutator_diagonal_sum(x, p, 2, -3),
+        lambda x, p, freq, table: M.heisenberg_sum(x, freq, 1.0, 2, -1),
+        lambda x, p, freq, table: M.heisenberg_sum(table, freq, 1.0, 2, -1),
+        lambda x, p, freq, table: M.modified_sum(x, freq, 1.0, 2, -1),
+        lambda x, p, freq, table: M.born_jordan_sum(x, freq, 1.0, 2, -2),
+    ],
+    ids=["commutator_diagonal", "heisenberg_matrix", "heisenberg_table", "modified", "born_jordan"],
+)
+def test_negative_alpha_max_rejected(osc8_parts, evaluate):
+    _, pair, freq = osc8_parts
+    table = M.to_amplitude_table(pair.x, (0, 7), 1)
+    with pytest.raises(ValueError, match="alpha_max must be nonnegative"):
+        evaluate(pair.x, pair.p, freq, table)
+
+
 class TestImposeHeisenbergReality:
     def test_amplitudes_lose_state_dependence(self, osc8_parts):
         _, pair, _ = osc8_parts

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mmlab as M
-from mmlab import NumericalError, jacobi_eigh, spectral
+from mmlab import NumericalError, jacobi, jacobi_eigh, spectral
 
 QUARTIC_COEFFS = (0.0, 0.0, 0.5, 0.0, 0.05)
 SEXTIC_COEFFS = (0.0, 0.1, 0.5, -0.05, 0.1, 0.01, 0.005)
@@ -63,12 +63,13 @@ def test_rejects_nonsquare():
         jacobi_eigh(np.zeros((2, 3)))
 
 
-def test_sweep_limit_failure():
+def test_sweep_limit_failure(monkeypatch):
     rng = np.random.default_rng(3)
     s = rng.standard_normal((12, 12))
     s = s + s.T
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
     with pytest.raises(NumericalError):
-        jacobi_eigh(s, max_sweeps=0)
+        jacobi_eigh(s)
 
 
 def test_zero_and_single_entry():

@@ -98,6 +98,13 @@ class TestFrequencies:
         with pytest.raises(ValueError, match="frequency matrix must be nonempty"):
             M.FrequencyTable(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mirror", [-1.0, 1.0])
+    def test_rejects_non_finite_entries(self, bad, mirror):
+        w = np.array([[0.0, bad, 1.0], [mirror * bad, 0.0, 2.0], [-1.0, -2.0, 0.0]])
+        with pytest.raises(ValueError, match="finite and antisymmetric"):
+            M.FrequencyTable(w)
+
 
 class TestMomentumFromPosition:
     def test_oscillator_entry(self, osc8):
@@ -162,6 +169,18 @@ class TestAmplitudeTable:
         assert table.hermitian_consistent
         # A(1, 1) = 0.707... != A(1, -1) = 1.0, so the reality constraint fails
         assert not table.heisenberg_real
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_amplitude_reads_inconsistent(self, osc8, bad):
+        _, pair = osc8
+        table = M.to_amplitude_table(pair.x, (0, 7), 1)
+        amplitudes = table.amplitudes.copy()
+        amplitudes[3, 2] = bad  # A(3, 1) = X(3, 2), a present pair
+        table = M.AmplitudeTable(window=(0, 7), alpha_max=1, size=8, amplitudes=amplitudes)
+        assert not table.hermitian_consistent
+        assert not table.heisenberg_real
+        with pytest.raises(ValueError, match="hermiticity-derived constraint"):
+            M.impose_heisenberg_reality(table)
 
     def test_out_of_range_window(self, osc8):
         _, pair = osc8
@@ -294,6 +313,15 @@ class TestMatrixPair:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             M.MatrixPair(x=np.zeros((2, 2)), p=np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+    @pytest.mark.parametrize("which", ["x", "p"])
+    def test_rejects_non_finite_entries(self, bad, which):
+        m = np.array([[1.0, bad], [np.conj(bad), 2.0]], dtype=complex)
+        good = np.eye(2, dtype=complex)
+        pair = {"x": m, "p": good} if which == "x" else {"x": good, "p": m}
+        with pytest.raises(ValueError, match="not hermitian"):
+            M.MatrixPair(**pair)
 
 
 class TestSpectralSystem:
