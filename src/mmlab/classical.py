@@ -43,6 +43,11 @@ ENERGY_DRIFT_TOL = 1e-8
 AMP_NOISE_FLOOR = 1e-10
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @lru_cache(maxsize=8)
 def _gauss_rule(nodes: int):
     """Gauss-Legendre nodes mapped to theta in [-pi/2, pi/2]: (sin, cos, weights)."""
@@ -119,11 +124,13 @@ def _period(potential, energy, mass, x_lo, x_hi) -> float:
 
 def orbit_period(potential: PolynomialPotential, energy: float, mass: float) -> float:
     """Period T = 2 integral dx sqrt(m / (2 (E - V(x)))) over one libration."""
+    _check_positive("mass", mass)
     return _period(potential, energy, mass, *turning_points(potential, energy))
 
 
 def action_direct(potential: PolynomialPotential, energy: float, mass: float) -> float:
     """Action J = 2 integral dx sqrt(2 m (E - V(x))), the loop integral of p dx."""
+    _check_positive("mass", mass)
     jacobian, w, gap = _well_samples(potential, energy, *turning_points(potential, energy))
     integrand = jacobian * np.sqrt(2.0 * mass * gap)
     return float(2.0 * 0.5 * math.pi * np.dot(w, integrand))
@@ -182,6 +189,7 @@ def orbit_fourier(
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
+    _check_positive("mass", mass)
     x_lo, x_hi = turning_points(potential, energy)
     period = _period(potential, energy, mass, x_lo, x_hi)
     top, rest = potential.dv_terms
@@ -275,8 +283,10 @@ def quantize(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if offset < 0.0:
-        raise ValueError("offset must be nonnegative")
+    _check_positive("mass", mass)
+    _check_positive("hbar", hbar)
+    if not (math.isfinite(offset) and offset >= 0.0):
+        raise ValueError(f"offset must be finite and nonnegative, got {offset}")
     h = 2.0 * math.pi * hbar
     target = n * h + offset
     _, v_min = potential.minimum()

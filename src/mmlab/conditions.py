@@ -218,8 +218,8 @@ def loop_integral_diagonal(x, p, freq: FrequencyTable, n: int, period: float) ->
     xm, pm = _square(x, p)
     size = xm.shape[0]
     _check_window(n, size, 0)
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    if not (math.isfinite(period) and period > 0.0):
+        raise ValueError(f"period must be finite and positive, got {period}")
     w = np.zeros(size)
     if n < freq.size:
         w[: freq.size] = freq.omega[n, :size]

@@ -123,7 +123,8 @@ def _square(*matrices) -> tuple[np.ndarray, ...]:
 def hermiticity_defect(matrix) -> float:
     """Frobenius norm of (M - M^dagger) divided by max(1, Frobenius norm of M)."""
     (m,) = _square(matrix)
-    defect = float(np.linalg.norm(m - m.conj().T))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, a defect callers reject
+        defect = float(np.linalg.norm(m - m.conj().T))
     return defect / max(1.0, float(np.linalg.norm(m)))
 
 

@@ -32,11 +32,10 @@ workloads = _load_workloads()
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_first_cli_jobs_parse_and_validate(workload, seed):
     cli_jobs = (job for job in workloads.jobs(workload, seed) if job.kind != "correspondence")
-    parser = cli.build_parser()
     for job in islice(cli_jobs, 30):
-        config = cli.config_from_args(parser.parse_args(job.argv("artifact.out")))
-        config.validate()
-        assert (config.mode, config.size, config.format) == (job.kind, job.size, job.fmt)
+        mode, options = cli.parse_argv(job.argv("artifact.out"))
+        values = cli.resolve(mode, options)
+        assert (mode, values["size"], values["format"]) == (job.kind, job.size, job.fmt)
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))

@@ -181,6 +181,34 @@ class TestQuantize:
         with pytest.raises(ValueError):
             M.quantize(SHO, 1.0, 1.0, -0.5, 1)
 
+    @pytest.mark.parametrize(
+        "mass, hbar, offset, name",
+        [
+            (-1.0, 1.0, 0.0, "mass"), (0.0, 1.0, 0.0, "mass"), (math.nan, 1.0, 0.0, "mass"),
+            (math.inf, 1.0, 0.0, "mass"), (1.0, 0.0, 0.0, "hbar"), (1.0, -1.0, 0.0, "hbar"),
+            (1.0, math.nan, 0.0, "hbar"), (1.0, math.inf, 0.0, "hbar"),
+            (1.0, 1.0, math.nan, "offset"), (1.0, 1.0, math.inf, "offset"),
+        ],
+    )
+    def test_rejects_non_physical_constants(self, mass, hbar, offset, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            M.quantize(SHO, mass, hbar, offset, 1)
+
+
+@pytest.mark.parametrize("mass", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda mass: M.orbit_period(SHO, 1.0, mass),
+        lambda mass: M.action_direct(SHO, 1.0, mass),
+        lambda mass: M.orbit_fourier(SHO, 1.0, mass, 2),
+    ],
+    ids=["orbit_period", "action_direct", "orbit_fourier"],
+)
+def test_orbit_integrals_reject_non_physical_mass(evaluate, mass):
+    with pytest.raises(ValueError, match=f"^mass must be finite and positive, got {mass}$"):
+        evaluate(mass)
+
 
 def _ref_state_rows(pair, system, potential, n, alpha_max):
     # the energy_rule="state" loop that integrated one orbit per jump, all at E_n

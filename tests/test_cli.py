@@ -223,12 +223,11 @@ class TestOtherModes:
 
 class TestRunConfigValidation:
     def test_direct_run_with_invalid_rule(self):
-        config = cli.RunConfig(mode="correspondence", coeffs=(0, 0, 0.5),
-                               energy_rule="median")
-        assert cli.run(config) == 2
+        options = {"coeffs": (0, 0, 0.5), "energy_rule": "median"}
+        assert cli.run("correspondence", options) == 2
 
     def test_missing_coeffs(self):
-        assert cli.run(cli.RunConfig(mode="classical")) == 2
+        assert cli.run("classical", {}) == 2
 
     @pytest.mark.parametrize("option", ["m", "omega", "hbar", "j0"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -328,3 +327,47 @@ def test_dead_option_is_rejected(tmp_path, capsys, mode, key):
     assert run_cli([*MODE_ARGV[mode], "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {cfg}:2: unknown option {key!r} for mode {mode!r}\n"
+
+
+#: A valid value of every run option, as command-line text.
+OPTION_TEXT = {
+    "perturb": "1e-3", "m": "1.5", "omega": "2", "hbar": "0.8", "size": "4", "basis_size": "24",
+    "coeffs": "0,0,0.5", "alpha_max": "2", "j0": "1", "energy_rule": "state", "format": "csv",
+    "out": "artifact.out",
+}
+EVERY_PAIR = [(mode, key) for mode in cli.MODES for key in OPTION_TEXT]
+PARSER_PAIRS = {
+    (mode, key) for mode, key in EVERY_PAIR
+    if not cli.build_parser().parse_known_args([mode, _flag(key), OPTION_TEXT[key]])[1]
+}
+
+
+def _library_value(key):
+    return cli.OPTIONS[key].convert(OPTION_TEXT[key])
+
+
+def _library_accepts(mode, key):
+    try:
+        cli.resolve(mode, {key: _library_value(key)})
+    except ValueError as exc:  # a missing --coeffs still means the key was accepted
+        return "unknown option" not in str(exc)
+    return True
+
+
+def test_library_and_parser_accept_the_same_33_pairs():
+    assert set(OPTION_TEXT) == set(cli.OPTIONS)
+    assert {pair for pair in EVERY_PAIR if _library_accepts(*pair)} == PARSER_PAIRS
+    assert len(PARSER_PAIRS) == 33
+
+
+@pytest.mark.parametrize("mode, key", [pair for pair in EVERY_PAIR if pair not in PARSER_PAIRS])
+def test_library_rejects_a_dead_pair(capsys, mode, key):
+    assert cli.run(mode, {key: _library_value(key)}) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown option {key!r} for mode {mode!r}\n"
+    assert captured.out == ""
+
+
+def test_library_rejects_an_unknown_mode(capsys):
+    assert cli.run("bogus", {}) == 2
+    assert capsys.readouterr().err == "error: unknown mode 'bogus'\n"

@@ -321,6 +321,12 @@ class TestLoopIntegral:
         with pytest.raises(ValueError):
             M.loop_integral_diagonal(pair.x, pair.p, freq, 0, -1.0)
 
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_a_period_that_is_not_finite_and_positive(self, osc8_parts, period):
+        _, pair, freq = osc8_parts
+        with pytest.raises(ValueError, match="period must be finite and positive"):
+            M.loop_integral_diagonal(pair.x, pair.p, freq, 0, period)
+
 
 class TestStateDifference:
     def test_interior_states_give_two_pi_hbar(self, osc8_parts):

@@ -323,6 +323,13 @@ class TestMatrixPair:
         with pytest.raises(ValueError, match="not hermitian"):
             M.MatrixPair(**pair)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_entries_raise_no_warning(self, bad):
+        m = np.array([[1.0, bad], [np.conj(bad), 2.0]], dtype=complex)
+        with pytest.raises(ValueError, match="not hermitian"):
+            M.MatrixPair(x=m, p=np.eye(2, dtype=complex))
+
 
 class TestSpectralSystem:
     def test_rejects_decreasing_energies(self):
