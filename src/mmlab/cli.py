@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import sys
 from typing import Callable, NamedTuple
 
@@ -61,8 +62,13 @@ class Option(NamedTuple):
     choices: tuple | None
     default: object
     valid: Callable | None  # None: any value
-    message: str  # when ``valid`` fails; formatted with the value and the mode
+    message: str  # when the type or ``valid`` fails; formatted with the value and the mode
     help: str
+
+
+#: The type a value set from Python must have, by converter: any real number for a
+#: float option, any integer for an int option (bool is neither), text for a str one.
+_TYPES = {float: numbers.Real, int: numbers.Integral, str: str}
 
 
 #: Every run value once, by config-file key, in the order ``resolve`` checks them.
@@ -92,7 +98,8 @@ OPTIONS = {
                      "format must be 'json' or 'csv'", "artifact format"),
     "coeffs": Option(_parse_coeffs, None, None, bool,
                      "mode '{mode}' requires --coeffs", 'potential "c0,c1,..."'),
-    "out": Option(str, None, None, None, "", "output path (default stdout)"),
+    "out": Option(str, None, None, None, "out must be a path, got {value}",
+                  "output path (default stdout)"),
 }
 
 #: Each mode's help line and the values its pipeline reads.
@@ -164,7 +171,9 @@ def resolve(mode: str, options: dict) -> dict:
     """Every value ``mode`` reads: ``options`` over the defaults, each checked.
 
     Raises ValueError for an unknown mode, an option the mode does not read,
-    or the first value, in ``OPTIONS`` order, that fails its check.
+    or the first value, in ``OPTIONS`` order, that has the wrong type or fails
+    its check.  A number set from Python is converted to its option's type, so
+    ``{"m": 1}`` runs as ``--m 1`` does.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -174,8 +183,16 @@ def resolve(mode: str, options: dict) -> dict:
             raise ValueError(f"unknown option {key!r} for mode {mode!r}")
     values = {key: options.get(key, OPTIONS[key].default) for key in keys}
     for key, option in OPTIONS.items():
-        if key in values and option.valid is not None and not option.valid(values[key]):
-            raise ValueError(option.message.format(value=values[key], mode=mode))
+        if key not in values:
+            continue
+        value = values[key]
+        kind = _TYPES.get(option.convert)
+        if kind is not None and not (value is None and option.default is None):
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(option.message.format(value=repr(value), mode=mode))
+            values[key] = value = option.convert(value)
+        if option.valid is not None and not option.valid(value):
+            raise ValueError(option.message.format(value=value, mode=mode))
     return values
 
 

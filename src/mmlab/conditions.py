@@ -22,7 +22,11 @@ finite hermitian matrix:
   from the truncation edge.
 
 ``full_report`` bundles all of the above per state, together with off-diagonal
-and truncation-edge diagnostics of the commutator.
+and truncation-edge diagnostics of the commutator.  It reads the frequencies
+from the energies and never forms XP - PX: one band kernel evaluates the
+entries of [X, P] the report needs, within the structural band b of X and P,
+at a cost of O(N b^2) plus one probe pass over X and P.  Each row's
+commutator diagonal is the per-state evaluator's value bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .spectral import (
+    BAND_CUTOFF,
     AmplitudeTable,
     FrequencyTable,
     MatrixPair,
@@ -41,7 +46,6 @@ from .spectral import (
     _square,
     matrix_bandwidth,
     to_amplitude_table,
-    transition_frequencies,
 )
 
 #: Imaginary leakage allowed in nominally real condition values, relative to hbar.
@@ -82,37 +86,51 @@ def _band(source, lo: int, hi: int, row: int, col: int) -> np.ndarray:
     """Entries source(n + row, n + col) for n = lo..hi, read from one diagonal.
 
     Pairs outside the matrix read as zero.  An :class:`AmplitudeTable` source
-    raises ValueError for a pair inside the matrix that it did not record.
+    raises ValueError for a pair inside the matrix that it did not record.  A
+    :class:`FrequencyTable` is read through its matrix.  A 1-D source holds
+    scaled levels e = E / hbar and reads as the frequency w(n + row, n + col) =
+    e[n + row] - e[n + col], the scalar operation of ``transition_frequencies``.
     """
     if isinstance(source, AmplitudeTable):
         return source.diagonal(lo, hi, row, col)
+    if isinstance(source, FrequencyTable):
+        source = source.omega
+    out = np.zeros(hi - lo + 1, dtype=source.dtype)
+    if source.ndim == 1:
+        # states n0..n1 put both labels inside the spectrum
+        n0, n1 = max(lo, -row, -col), min(hi, source.size - 1 - row, source.size - 1 - col)
+        if n1 >= n0:
+            out[n0 - lo : n1 - lo + 1] = (
+                source[n0 + row : n1 + row + 1] - source[n0 + col : n1 + col + 1]
+            )
+        return out
     diagonal = np.diagonal(source, col - row)
     start = lo + min(row, col)
-    out = np.zeros(hi - lo + 1, dtype=source.dtype)
     first, stop = max(0, -start), min(out.size, diagonal.size - start)
     if stop > first:
         out[first:stop] = diagonal[start + first : start + stop]
     return out
 
 
-def _frequency_sum(left, right, freq: FrequencyTable, mass, lo, hi, alpha_max) -> np.ndarray:
+def _frequency_sum(left, right, freq, mass, lo, hi, alpha_max) -> np.ndarray:
     """m * sum_a {L(n,n+a) R(n+a,n) w(n+a,n) - L(n,n-a) R(n-a,n) w(n,n-a)} for n = lo..hi.
 
     Every state is one array lane read along the diagonals; ``left=None``
-    reads L(n, n+j) as conj(R(n+j, n)).  Jumps run from -alpha_max to
-    alpha_max and each step adds the up term, then subtracts the down term,
-    so every state is rounded exactly as a scalar loop in that order would be.
+    reads L(n, n+j) as conj(R(n+j, n)), and ``freq`` is any :func:`_band`
+    source of w.  Jumps run from -alpha_max to alpha_max and each step adds
+    the up term, then subtracts the down term, so every state is rounded
+    exactly as a scalar loop in that order would be.
     """
 
-    def term(j, weight):  # L(n, n+j) R(n+j, n) weight(n+j, n)
+    def term(j, up):  # L(n, n+j) R(n+j, n) times w(n+j, n) (up) or w(n, n+j) (down)
         r = _band(right, lo, hi, j, 0)
         product = _product(r.conj() if left is None else _band(left, lo, hi, 0, j), r)
-        return _product(product, _band(weight, lo, hi, j, 0))
+        return _product(product, _band(freq, lo, hi, j, 0) if up else _band(freq, lo, hi, 0, j))
 
     total = np.zeros(hi - lo + 1, dtype=complex)
     for a in range(-alpha_max, alpha_max + 1):
-        total += term(a, freq.omega)
-        total -= term(-a, freq.omega.T)
+        total += term(a, True)
+        total -= term(-a, False)
     return _product(mass, total)
 
 
@@ -180,31 +198,59 @@ def nearest_neighbor_rewrite(x, mass: float, omega: float, n: int) -> float:
     return float(_nearest_neighbor_values(matrix, mass, omega, n, n)[0].real)
 
 
-def _ordered_sum(terms: np.ndarray) -> complex:
-    # 0 + t0 + t1 + ... left to right, the rounding of a scalar accumulation loop
-    return complex(np.add.accumulate(np.concatenate(([0j], terms)))[-1])
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    # 0 + t0 + t1 + ... along the last axis, left to right: the rounding of a scalar
+    # accumulation loop (numpy's own sum is pairwise)
+    zero = np.zeros(terms.shape[:-1] + (1,), dtype=complex)
+    return np.add.accumulate(np.concatenate((zero, terms), axis=-1), axis=-1)[..., -1]
 
 
-def _commutator_diagonal(x, p, n: int, alpha_max: int | None) -> complex:
+#: Most (entry, k) terms the commutator kernel forms at once, which bounds its memory.
+_KERNEL_BLOCK = 1 << 16
+
+
+def _commutator_entries(xm, pm, reach: int, rows, cols) -> np.ndarray:
+    """[X, P](i, j) for the index arrays ``rows`` and ``cols``, with k within ``reach`` of i.
+
+    Each entry is sum_k {X(i,k) P(k,j) - P(i,k) X(k,j)} over k = i - reach .. i + reach,
+    summed left to right from 0 with ``_product`` rounding.  Pairs off the matrix read
+    as zero.  Once X and P vanish beyond ``reach`` of the diagonal, every further k
+    adds an exact zero, which leaves such a sum unchanged bit for bit; entries farther
+    than 2 * reach from the diagonal are then exact zeros.
+    """
+    size = xm.shape[0]
+    shifts = np.arange(-reach, reach + 1)
+    out = np.empty(len(rows), dtype=complex)
+    step = max(1, _KERNEL_BLOCK // shifts.size)
+    for start in range(0, len(rows), step):
+        i = rows[start : start + step, None]
+        j = cols[start : start + step, None]
+        k = i + shifts
+        inside = (k >= 0) & (k < size)
+        k = np.where(inside, k, 0)
+
+        def read(m, r, c):
+            return np.where(inside, m[r, c], 0j)
+
+        terms = _product(read(xm, i, k), read(pm, k, j)) - _product(read(pm, i, k), read(xm, k, j))
+        out[start : start + step] = _ordered_sum(terms)
+    return out
+
+
+def commutator_diagonal_sum(x, p, n: int, alpha_max: int | None = None) -> complex:
     """[X, P](n, n) = sum_k {X(n,k) P(k,n) - P(n,k) X(k,n)}, summed left to right.
 
     k runs over n - alpha_max .. n + alpha_max inside the matrix, or over every
-    state when ``alpha_max`` is None.
+    state when ``alpha_max`` is None.  Over every state this is the report's
+    ``comm_diag`` of state n bit for bit, and commutator(X, P)[n, n] up to the
+    rounding of the matrix product; a finite alpha_max gives the same value
+    once it spans every nonzero band.
     """
     xm, pm = _square(x, p)
     size = xm.shape[0]
     _check_window(n, size, alpha_max or 0)
-    reach = size if alpha_max is None else alpha_max
-    k = slice(max(0, n - reach), max(0, n + reach + 1))
-    return _ordered_sum(_product(xm[n, k], pm[k, n]) - _product(pm[n, k], xm[k, n]))
-
-
-def commutator_diagonal_sum(x, p, n: int, alpha_max: int) -> complex:
-    """Banded diagonal element sum_a {P(n+a,n) X(n,n+a) - P(n,n+a) X(n+a,n)}.
-
-    Equals commutator(X, P)[n, n] once alpha_max spans every nonzero band.
-    """
-    return _commutator_diagonal(x, p, n, alpha_max)
+    reach = size - 1 if alpha_max is None else alpha_max
+    return complex(_commutator_entries(xm, pm, reach, np.array([n]), np.array([n]))[0])
 
 
 def loop_integral_diagonal(x, p, freq: FrequencyTable, n: int, period: float) -> complex:
@@ -225,7 +271,7 @@ def loop_integral_diagonal(x, p, freq: FrequencyTable, n: int, period: float) ->
         w[: freq.size] = freq.omega[n, :size]
     # k = N-1 down to 0, the order of a loop over a = n - k from n - N + 1 to n
     terms = _product(_product(_product(1j, w), pm[n, :]), xm[:, n])[::-1]
-    return -period * _ordered_sum(terms)
+    return -period * complex(_ordered_sum(terms))
 
 
 def loop_integral_state_difference(x, p, n: int) -> complex:
@@ -236,7 +282,7 @@ def loop_integral_state_difference(x, p, n: int) -> complex:
     For hermitian X, P each term is purely imaginary, so the value is real;
     away from the truncation edge it equals 2 pi hbar.
     """
-    return -2j * math.pi * _commutator_diagonal(x, p, n, None)
+    return -2j * math.pi * commutator_diagonal_sum(x, p, n)
 
 
 def impose_heisenberg_reality(table: AmplitudeTable) -> AmplitudeTable:
@@ -333,7 +379,13 @@ def full_report(
     The evaluation window is 0 <= n <= N - 1 - alpha_max; the default
     alpha_max is the band beyond which all X entries drop below 1e-12 (at
     least 1).  Each formulation is one band pass over the whole window, in a
-    fixed order, so identical inputs yield identical reports.
+    fixed order, so identical inputs yield identical reports.  Frequencies are
+    read from the energies, not from an N x N table.  [X, P] is never formed:
+    one probe pass over X and P finds the structural band b, beyond which both
+    vanish exactly, and one band kernel evaluates the diagonal of [X, P] over
+    every state and its entries within min(2b, window end) of the diagonal
+    over the window, at a cost of O(N b^2).  Each row's ``commutator_diag`` is
+    ``commutator_diagonal_sum(X, P, n)`` bit for bit.
     """
     if pair.size != system.size:
         raise ValueError("matrix pair and system sizes disagree")
@@ -342,8 +394,7 @@ def full_report(
     size = system.size
     mass = system.constants.mass
     hbar = system.constants.hbar
-    freq = transition_frequencies(system)
-    band = matrix_bandwidth(x)
+    band, reach = matrix_bandwidth(x, BAND_CUTOFF, p)
     if alpha_max is None:
         alpha_max = max(1, band)
     if alpha_max < 1:
@@ -351,15 +402,30 @@ def full_report(
     window_hi = size - 1 - alpha_max
     if window_hi < 0:
         raise ValueError("empty evaluation window: system too small for alpha_max")
+    levels = system.energies / hbar
+    # the levels are sorted, so this is the largest |w(n, n')|
+    if not math.isfinite(levels[-1] - levels[0]):
+        raise ValueError("transition frequencies must be finite")
     # a potential's oscillator scale is its spectral w(1, 0), not the unused constants.omega
-    omega = float(freq.omega[1, 0]) if system.kind == "potential" else system.constants.omega
+    omega = float(levels[1] - levels[0]) if system.kind == "potential" else system.constants.omega
 
-    comm = commutator(x, p)
+    # [X, P] on the diagonal, then off it within the window, where it can be nonzero
+    states = np.arange(size)
+    near = min(2 * reach, window_hi)
+    shifts = np.concatenate((np.arange(-near, 0), np.arange(1, near + 1)))
+    first = np.repeat(states[: window_hi + 1], shifts.size)
+    second = first + np.tile(shifts, window_hi + 1)
+    inside = (second >= 0) & (second <= window_hi)
+    comm = _commutator_entries(
+        x, p, reach,
+        np.concatenate((states, first[inside])), np.concatenate((states, second[inside])),
+    )
+    diag = comm[:size]
     table = to_amplitude_table(x, (0, size - 1), alpha_max)
     constrained = impose_heisenberg_reality(table)
 
     def window_sum(left, right, label):
-        values = _frequency_sum(left, right, freq, mass, 0, window_hi, alpha_max)
+        values = _frequency_sum(left, right, levels, mass, 0, window_hi, alpha_max)
         return _real_or_raise(values, hbar, label)
 
     eq4_h = window_sum(None, x, "eq4_hermitian")
@@ -375,8 +441,7 @@ def full_report(
         bj = [math.nan] * (window_hi + 1)
 
     rows = []
-    for n in range(window_hi + 1):
-        diag = complex(comm[n, n])
+    for n, diag_n in zip(range(window_hi + 1), diag.tolist()):
         rows.append(
             ConditionRow(
                 n=n,
@@ -385,18 +450,16 @@ def full_report(
                 eq14=eq14[n],
                 eq25=eq25[n],
                 bj_alternative=bj[n],
-                commutator_diag=diag,
+                commutator_diag=diag_n,
                 residual_eq4_hermitian=eq4_h[n] - hbar,
                 residual_eq4_constrained=eq4_c[n] - hbar,
                 residual_eq14=eq14[n] - hbar,
                 residual_eq25=eq25[n] - hbar,
                 residual_bj_alternative=bj[n] - hbar,
-                residual_commutator=diag - 1j * hbar,
+                residual_commutator=diag_n - 1j * hbar,
             )
         )
 
-    block = comm[: window_hi + 1, : window_hi + 1]
-    offdiag = np.abs(block - np.diag(np.diag(block)))
     return ConditionReport(
         system_kind=system.kind,
         mass=mass,
@@ -406,7 +469,7 @@ def full_report(
         window=(0, window_hi),
         alpha_max=alpha_max,
         rows=tuple(rows),
-        offdiag_max=float(np.max(offdiag)) if block.size else 0.0,
-        trace_commutator=complex(np.trace(comm)),
-        edge_diag=complex(comm[size - 1, size - 1]),
+        offdiag_max=float(np.max(np.abs(comm[size:]), initial=0.0)),
+        trace_commutator=complex(diag.sum()),
+        edge_diag=complex(diag[-1]),
     )

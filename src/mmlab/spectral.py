@@ -162,11 +162,47 @@ def momentum_from_position(x, freq: FrequencyTable, mass: float) -> np.ndarray:
     return 1j * mass * freq.omega * xm
 
 
-def matrix_bandwidth(x, cutoff: float = BAND_CUTOFF) -> int:
+def _structural_band(m) -> int:
+    """Largest |row - column| of a nonzero entry of m; 0 when m is diagonal or zero."""
+    m = np.ascontiguousarray(m)
+    if m.size == 0:
+        return 0
+    parts = 2 if np.iscomplexobj(m) else 1
+    nonzero = m.view(m.real.dtype) != 0  # a complex entry reads as its two parts
+    rows = np.arange(m.shape[0])
+    first = np.argmax(nonzero, axis=1)
+    has = nonzero[rows, first]  # argmax is 0 on a zero row
+    last = (nonzero.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)) // parts
+    first //= parts
+    return int(np.max(np.maximum(rows - first, last - rows)[has], initial=0))
+
+
+def matrix_bandwidth(x, cutoff: float = BAND_CUTOFF, p=None):
     """Largest |row - column| carrying an entry of magnitude >= cutoff, on either side
-    of the diagonal; 0 when no off-diagonal entry reaches the cutoff."""
-    rows, cols = np.nonzero(np.abs(np.asarray(x)) >= cutoff)
-    return int(np.max(np.abs(rows - cols), initial=0))
+    of the diagonal; 0 when no off-diagonal entry reaches the cutoff.
+
+    The scan is one pass over x for its structural band, then a walk inward
+    over its outermost diagonals.  Given ``p`` as well, it also returns the
+    structural band of the pair, the largest |row - column| at which x or p has
+    a nonzero entry: every entry of either beyond it is an exact zero.
+    """
+    if not cutoff > 0.0:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    xm = np.asarray(x)
+    reach = _structural_band(xm)
+    # an entry that reaches the cutoff is nonzero, so it lies within the structural band
+    band = next(
+        (
+            d
+            for d in range(reach, 0, -1)
+            if np.any(np.abs(np.diagonal(xm, d)) >= cutoff)
+            or np.any(np.abs(np.diagonal(xm, -d)) >= cutoff)
+        ),
+        0,
+    )
+    if p is None:
+        return band
+    return band, max(reach, _structural_band(p))
 
 
 def _pair_columns(window: tuple[int, int], alpha_max: int) -> np.ndarray:

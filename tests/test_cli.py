@@ -371,3 +371,26 @@ def test_library_rejects_a_dead_pair(capsys, mode, key):
 def test_library_rejects_an_unknown_mode(capsys):
     assert cli.run("bogus", {}) == 2
     assert capsys.readouterr().err == "error: unknown mode 'bogus'\n"
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"size": "8"}, "size must be at least 1, got '8'"),
+        ({"size": 2.5}, "size must be at least 1, got 2.5"),
+        ({"size": True}, "size must be at least 1, got True"),
+        ({"m": "1"}, "m must be finite and positive, got '1'"),
+    ],
+)
+def test_library_rejects_a_value_of_the_wrong_type(capsys, options, message):
+    assert cli.run("oscillator", options) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_library_numbers_run_as_their_flags_do(capsys):
+    assert cli.run("oscillator", {"m": 1, "hbar": np.float64(0.5), "size": np.int64(4)}) == 0
+    from_library = capsys.readouterr().out
+    assert run_cli(["oscillator", "--m", "1", "--hbar", "0.5", "--size", "4"]) == 0
+    assert capsys.readouterr().out == from_library

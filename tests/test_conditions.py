@@ -403,7 +403,6 @@ class TestFullReport:
         mass, omega = system.constants.mass, system.constants.omega
         table = M.to_amplitude_table(pair.x, (0, system.size - 1), report.alpha_max)
         constrained = M.impose_heisenberg_reality(table)
-        comm = M.commutator(pair.x, pair.p)
         for row in report.rows:
             n, amax = row.n, report.alpha_max
             try:
@@ -416,7 +415,7 @@ class TestFullReport:
                 M.born_jordan_sum(pair.x, freq, mass, n, amax),
                 M.modified_sum(pair.x, freq, mass, n, amax),
                 bj,
-                complex(comm[n, n]),
+                M.commutator_diagonal_sum(pair.x, pair.p, n, None),
             )
             actual = (
                 row.eq4_hermitian,
@@ -427,6 +426,13 @@ class TestFullReport:
                 row.commutator_diag,
             )
             assert repr(actual) == repr(expected)
+
+    @pytest.mark.parametrize("fixture, alpha_max", [("osc64", None), ("quartic40", 9)])
+    def test_commutator_fields_match_the_dense_commutator(
+        self, request, fixture, alpha_max, matches_dense_commutator
+    ):
+        system, pair = request.getfixturevalue(fixture)
+        matches_dense_commutator(M.full_report(system, pair, alpha_max), pair)
 
     def test_probes_bandwidth_once(self, osc64, monkeypatch):
         calls = []

@@ -125,3 +125,56 @@ def test_frequency_table_is_exactly_antisymmetric(levels, hbar):
     w = M.transition_frequencies(system).omega
     assert np.array_equal(w, -w.T)
     assert np.all(np.diag(w) == 0.0)
+
+
+@st.composite
+def banded_pairs(draw):
+    """A system with a hermitian pair: X of structural band 0-3 or dense, P = i m w o X,
+    and sometimes a hermitian bump that takes P's band one or two past X's."""
+    size = draw(st.integers(1, 48))
+    band = draw(st.sampled_from([0, 1, 2, 3, "dense"]))
+    band = size - 1 if band == "dense" else min(band, size - 1)
+    extra = draw(st.integers(0, 2))
+    mass, hbar = draw(scale), draw(scale)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    energies = np.sort(rng.uniform(-50.0, 50.0, size))
+    system = M.SpectralSystem(M.PhysicalConstants(mass=mass, hbar=hbar), energies)
+    offsets = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+
+    def hermitian(mask):
+        raw = rng.uniform(-1.0, 1.0, (size, size)) + 1j * rng.uniform(-1.0, 1.0, (size, size))
+        raw[mask & (rng.random((size, size)) < 0.2)] = 0.0  # structural zeros inside the band
+        raw = np.where(mask, raw, 0.0)
+        return 0.5 * (raw + raw.conj().T)
+
+    x = hermitian(offsets <= band)
+    if M.matrix_bandwidth(x) <= 1:
+        x = x.real.astype(complex)  # the nearest-neighbor rewrite is real only on a real X
+    p = M.momentum_from_position(x, M.transition_frequencies(system), mass)
+    if extra:
+        p = p + hermitian((offsets > band) & (offsets <= band + extra))
+    alpha_max = draw(st.one_of(st.none(), st.integers(1, max(1, size - 1))))
+    return system, M.MatrixPair(x=x, p=p), alpha_max
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=banded_pairs())
+def test_report_commutator_fields_match_dense_and_per_state_evaluator(
+    case, matches_dense_commutator
+):
+    system, pair, alpha_max = case
+    if system.size == 1:  # no window state: a report needs alpha_max >= 1
+        with pytest.raises(ValueError):
+            M.full_report(system, pair, alpha_max)
+        return
+    report = M.full_report(system, pair, alpha_max)
+    matches_dense_commutator(report, pair)
+    x, p = pair.x.tolist(), pair.p.tolist()
+    for row in report.rows:
+        expected = M.commutator_diagonal_sum(pair.x, pair.p, row.n, None)
+        assert repr(row.commutator_diag) == repr(expected)
+        # the scalar loop over k = 0 .. N - 1 that the band kernel stands for
+        n, total = row.n, 0j
+        for k in range(system.size):
+            total += x[n][k] * p[k][n] - p[n][k] * x[k][n]
+        assert repr(expected) == repr(total)
