@@ -375,6 +375,8 @@ def correspondence_report(
         raise ValueError("energy_rule must be 'state' or 'mean'")
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
+    if pair.size != system.size:
+        raise ValueError("matrix pair and system sizes disagree")
     size = system.size
     if n < alpha_max or n > size - 1 - alpha_max:
         raise ValueError(
@@ -394,7 +396,7 @@ def correspondence_report(
             orbit = orbit_fourier(potential, e_n, mass, alpha_max=alpha_max)
         q_amp = float(abs(pair.x[n, n - a]))
         c_amp = float(abs(orbit.fourier[a]))
-        q_freq = float(freq.omega[n, n - a])
+        q_freq = float(freq[n, n - a])
         c_freq = a * orbit.omega
         noise = q_amp < AMP_NOISE_FLOOR * q_ref and c_amp < AMP_NOISE_FLOOR * abs(orbit.fourier[1])
         rows.append(

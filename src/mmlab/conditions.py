@@ -23,9 +23,10 @@ finite hermitian matrix:
 
 ``full_report`` bundles all of the above per state, together with off-diagonal
 and truncation-edge diagnostics of the commutator.  It reads the frequencies
-from the energies and never forms XP - PX: one band kernel evaluates the
-entries of [X, P] the report needs, within the structural band b of X and P,
-at a cost of O(N b^2) plus one probe pass over X and P.  Each row's
+from the N levels of a frequency table and never forms XP - PX: one band
+kernel evaluates the entries of [X, P] the report needs, within the
+structural band b of X and P, at a cost of O(N b^2) plus one probe pass over
+X and P.  Each row's
 commutator diagonal is the per-state evaluator's value bit for bit.
 """
 
@@ -46,6 +47,7 @@ from .spectral import (
     _square,
     matrix_bandwidth,
     to_amplitude_table,
+    transition_frequencies,
 )
 
 #: Imaginary leakage allowed in nominally real condition values, relative to hbar.
@@ -58,7 +60,9 @@ def commutator(x, p) -> np.ndarray:
     return xm @ pm - pm @ xm
 
 
-def _check_window(n: int, size: int, alpha_max: int) -> None:
+def _check_window(n: int, size: int, alpha_max: int, freq: FrequencyTable | None = None) -> None:
+    if freq is not None and freq.size != size:
+        raise ValueError("position matrix and frequency table sizes disagree")
     if alpha_max < 0:
         raise ValueError("alpha_max must be nonnegative")
     if not 0 <= n < size:
@@ -87,23 +91,21 @@ def _band(source, lo: int, hi: int, row: int, col: int) -> np.ndarray:
 
     Pairs outside the matrix read as zero.  An :class:`AmplitudeTable` source
     raises ValueError for a pair inside the matrix that it did not record.  A
-    :class:`FrequencyTable` is read through its matrix.  A 1-D source holds
-    scaled levels e = E / hbar and reads as the frequency w(n + row, n + col) =
-    e[n + row] - e[n + col], the scalar operation of ``transition_frequencies``.
+    :class:`FrequencyTable` reads as the frequency w(n + row, n + col) =
+    e[n + row] - e[n + col] of its levels e, the scalar operation of
+    ``FrequencyTable.__getitem__``.
     """
     if isinstance(source, AmplitudeTable):
         return source.diagonal(lo, hi, row, col)
     if isinstance(source, FrequencyTable):
-        source = source.omega
-    out = np.zeros(hi - lo + 1, dtype=source.dtype)
-    if source.ndim == 1:
+        e = source.levels
+        out = np.zeros(hi - lo + 1)
         # states n0..n1 put both labels inside the spectrum
-        n0, n1 = max(lo, -row, -col), min(hi, source.size - 1 - row, source.size - 1 - col)
+        n0, n1 = max(lo, -row, -col), min(hi, e.size - 1 - row, e.size - 1 - col)
         if n1 >= n0:
-            out[n0 - lo : n1 - lo + 1] = (
-                source[n0 + row : n1 + row + 1] - source[n0 + col : n1 + col + 1]
-            )
+            out[n0 - lo : n1 - lo + 1] = e[n0 + row : n1 + row + 1] - e[n0 + col : n1 + col + 1]
         return out
+    out = np.zeros(hi - lo + 1, dtype=source.dtype)
     diagonal = np.diagonal(source, col - row)
     start = lo + min(row, col)
     first, stop = max(0, -start), min(out.size, diagonal.size - start)
@@ -116,10 +118,10 @@ def _frequency_sum(left, right, freq, mass, lo, hi, alpha_max) -> np.ndarray:
     """m * sum_a {L(n,n+a) R(n+a,n) w(n+a,n) - L(n,n-a) R(n-a,n) w(n,n-a)} for n = lo..hi.
 
     Every state is one array lane read along the diagonals; ``left=None``
-    reads L(n, n+j) as conj(R(n+j, n)), and ``freq`` is any :func:`_band`
-    source of w.  Jumps run from -alpha_max to alpha_max and each step adds
-    the up term, then subtracts the down term, so every state is rounded
-    exactly as a scalar loop in that order would be.
+    reads L(n, n+j) as conj(R(n+j, n)), and ``freq`` is a
+    :class:`FrequencyTable`.  Jumps run from -alpha_max to alpha_max and each
+    step adds the up term, then subtracts the down term, so every state is
+    rounded exactly as a scalar loop in that order would be.
     """
 
     def term(j, up):  # L(n, n+j) R(n+j, n) times w(n+j, n) (up) or w(n, n+j) (down)
@@ -149,7 +151,7 @@ def heisenberg_sum(source, freq: FrequencyTable, mass: float, n: int, alpha_max:
     else:
         (source,) = _square(source)
         size = source.shape[0]
-    _check_window(n, size, alpha_max)
+    _check_window(n, size, alpha_max, freq)
     return float(_frequency_sum(None, source, freq, mass, n, n, alpha_max)[0].real)
 
 
@@ -161,7 +163,7 @@ def born_jordan_sum(x, freq: FrequencyTable, mass: float, n: int, alpha_max: int
     diverge on non-hermitian input.
     """
     (matrix,) = _square(x)
-    _check_window(n, matrix.shape[0], alpha_max)
+    _check_window(n, matrix.shape[0], alpha_max, freq)
     return float(_frequency_sum(matrix, matrix, freq, mass, n, n, alpha_max)[0].real)
 
 
@@ -262,13 +264,10 @@ def loop_integral_diagonal(x, p, freq: FrequencyTable, n: int, period: float) ->
     For the oscillator over one period this reproduces 2 pi E_n / omega.
     """
     xm, pm = _square(x, p)
-    size = xm.shape[0]
-    _check_window(n, size, 0)
+    _check_window(n, xm.shape[0], 0, freq)
     if not (math.isfinite(period) and period > 0.0):
         raise ValueError(f"period must be finite and positive, got {period}")
-    w = np.zeros(size)
-    if n < freq.size:
-        w[: freq.size] = freq.omega[n, :size]
+    w = freq[n, :]
     # k = N-1 down to 0, the order of a loop over a = n - k from n - N + 1 to n
     terms = _product(_product(_product(1j, w), pm[n, :]), xm[:, n])[::-1]
     return -period * complex(_ordered_sum(terms))
@@ -380,11 +379,11 @@ def full_report(
     alpha_max is the band beyond which all X entries drop below 1e-12 (at
     least 1).  Each formulation is one band pass over the whole window, in a
     fixed order, so identical inputs yield identical reports.  Frequencies are
-    read from the energies, not from an N x N table.  [X, P] is never formed:
-    one probe pass over X and P finds the structural band b, beyond which both
-    vanish exactly, and one band kernel evaluates the diagonal of [X, P] over
-    every state and its entries within min(2b, window end) of the diagonal
-    over the window, at a cost of O(N b^2).  Each row's ``commutator_diag`` is
+    read from the levels of ``transition_frequencies(system)``.  [X, P] is
+    never formed: one probe pass over X and P finds the structural band b,
+    beyond which both vanish exactly, and one band kernel evaluates the
+    diagonal of [X, P] over every state and its entries within min(2b, window
+    end) of the diagonal over the window, at a cost of O(N b^2).  Each row's ``commutator_diag`` is
     ``commutator_diagonal_sum(X, P, n)`` bit for bit.
     """
     if pair.size != system.size:
@@ -402,12 +401,9 @@ def full_report(
     window_hi = size - 1 - alpha_max
     if window_hi < 0:
         raise ValueError("empty evaluation window: system too small for alpha_max")
-    levels = system.energies / hbar
-    # the levels are sorted, so this is the largest |w(n, n')|
-    if not math.isfinite(levels[-1] - levels[0]):
-        raise ValueError("transition frequencies must be finite")
+    freq = transition_frequencies(system)
     # a potential's oscillator scale is its spectral w(1, 0), not the unused constants.omega
-    omega = float(levels[1] - levels[0]) if system.kind == "potential" else system.constants.omega
+    omega = float(freq[1, 0]) if system.kind == "potential" else system.constants.omega
 
     # [X, P] on the diagonal, then off it within the window, where it can be nonzero
     states = np.arange(size)
@@ -425,7 +421,7 @@ def full_report(
     constrained = impose_heisenberg_reality(table)
 
     def window_sum(left, right, label):
-        values = _frequency_sum(left, right, levels, mass, 0, window_hi, alpha_max)
+        values = _frequency_sum(left, right, freq, mass, 0, window_hi, alpha_max)
         return _real_or_raise(values, hbar, label)
 
     eq4_h = window_sum(None, x, "eq4_hermitian")

@@ -6,10 +6,11 @@ matrices are tied entrywise through the transition frequencies,
 
     P(n, n') = i * m * w(n, n') * X(n, n'),    w(n, n') = (E_n - E_n') / hbar,
 
-which keeps P hermitian whenever X is.  Amplitude tables re-index X entries
-by (state, jump) pairs, the format the condition evaluators reason about: one
-dense complex array, a row per recorded state n and a column per jump alpha,
-whose slots are data exactly where 0 <= n - alpha < size.
+which keeps P hermitian whenever X is.  A frequency table stores only the N
+scaled levels e = E / hbar.  Amplitude tables re-index X entries by (state,
+jump) pairs, the format the condition evaluators reason about: one dense
+complex array, a row per recorded state n and a column per jump alpha, whose
+slots are data exactly where 0 <= n - alpha < size.
 """
 
 from __future__ import annotations
@@ -75,39 +76,37 @@ class SpectralSystem:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyTable:
-    """Antisymmetric matrix of transition frequencies w(n, n')."""
+    """Transition frequencies w(n, n') = e[n] - e[n'] of the scaled levels e = E / hbar.
 
-    omega: np.ndarray
+    Only the levels are stored, checked once: nonempty, 1-D, and with a finite
+    spread max - min, the largest |w| (not finite also rejects NaN).
+    ``freq[i, j]`` reads e[i] - e[j], a block of the matrix for slices.
+    Antisymmetry holds exactly, since a - b is -(b - a) in floating point; the
+    combination rule w(n, k) + w(k, n') = w(n, n') only up to rounding.
+    """
+
+    levels: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.omega, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("frequency matrix must be square")
-        if w.size < 1:
-            raise ValueError("frequency matrix must be nonempty")
-        scale = 1.0 + float(np.max(np.abs(w)))
-        # not (defect <= tol) fails on NaN; an infinite scale would excuse any defect
-        if not (math.isfinite(scale) and float(np.max(np.abs(w + w.T))) <= 1e-12 * scale):
-            raise ValueError("frequency matrix must be finite and antisymmetric")
-        object.__setattr__(self, "omega", _frozen_array(w, float))
+        e = np.asarray(self.levels, dtype=float)
+        if e.ndim != 1 or e.size < 1:
+            raise ValueError("levels must be a nonempty 1-D sequence")
+        if not math.isfinite(float(np.max(e)) - float(np.min(e))):
+            raise ValueError("transition frequencies must be finite")
+        object.__setattr__(self, "levels", _frozen_array(e, float))
 
     @property
     def size(self) -> int:
-        return int(self.omega.shape[0])
+        return int(self.levels.size)
 
     def __getitem__(self, key):
-        return self.omega[key]
+        i, j = key
+        return np.subtract.outer(self.levels[i], self.levels[j])
 
 
 def transition_frequencies(system: SpectralSystem) -> FrequencyTable:
-    """Frequency table w(n, n') = (E_n - E_n') / hbar of a system.
-
-    Antisymmetry holds exactly, since a - b is -(b - a) in floating point.  The
-    combination rule w(n, k) + w(k, n') = w(n, n') holds only up to rounding of
-    the sum of two differences.
-    """
-    e = system.energies / system.constants.hbar
-    return FrequencyTable(e[:, None] - e[None, :])
+    """Frequency table w(n, n') = (E_n - E_n') / hbar of a system."""
+    return FrequencyTable(system.energies / system.constants.hbar)
 
 
 def _square(*matrices) -> tuple[np.ndarray, ...]:
@@ -153,13 +152,13 @@ class MatrixPair:
 def momentum_from_position(x, freq: FrequencyTable, mass: float) -> np.ndarray:
     """Entrywise momentum matrix P(n, n') = i * mass * w(n, n') * X(n, n').
 
-    Hermitian input X yields hermitian output because the frequency matrix is
-    real antisymmetric.
+    Hermitian input X yields hermitian output because w is real antisymmetric.
     """
     (xm,) = _square(x)
     if xm.shape[0] != freq.size:
         raise ValueError("position matrix and frequency table sizes disagree")
-    return 1j * mass * freq.omega * xm
+    e = freq.levels
+    return 1j * mass * (e[:, None] - e[None, :]) * xm
 
 
 def _structural_band(m) -> int:

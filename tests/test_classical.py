@@ -212,14 +212,15 @@ def test_orbit_integrals_reject_non_physical_mass(evaluate, mass):
 
 def _ref_state_rows(pair, system, potential, n, alpha_max):
     # the energy_rule="state" loop that integrated one orbit per jump, all at E_n
-    freq = M.transition_frequencies(system)
+    levels = M.transition_frequencies(system).levels
+    w = levels[:, None] - levels[None, :]
     rows = []
     for a in range(1, alpha_max + 1):
         e_star = float(system.energies[n])
         orbit = M.orbit_fourier(potential, e_star, system.constants.mass, alpha_max=a)
         q_amp = float(abs(pair.x[n, n - a]))
         c_amp = float(abs(orbit.fourier[a]))
-        q_freq = float(freq.omega[n, n - a])
+        q_freq = float(w[n, n - a])
         c_freq = a * orbit.omega
         floor = classical.AMP_NOISE_FLOOR
         noise = q_amp < floor * abs(pair.x[n, n - 1]) and c_amp < floor * abs(orbit.fourier[1])
@@ -329,6 +330,13 @@ class TestCorrespondence:
             M.correspondence_report(pair, system, SHO, 7, 1)
         with pytest.raises(ValueError):
             M.correspondence_report(pair, system, SHO, 5, 1, "median")
+
+    @pytest.mark.parametrize("pair_size, system_size", [(8, 12), (12, 8)])
+    def test_pair_and_system_sizes_must_agree(self, constants, pair_size, system_size):
+        _, pair = M.build_oscillator(constants, pair_size)
+        system, _ = M.build_oscillator(constants, system_size)
+        with pytest.raises(ValueError, match="^matrix pair and system sizes disagree$"):
+            M.correspondence_report(pair, system, SHO, 6, 1)
 
 
 # Reference copy of the classical layer as it was before its scalar loops moved

@@ -46,10 +46,11 @@ class TestReferenceDoubleLoop:
         p = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         energies = np.sort(rng.uniform(0.0, 5.0, size))
         freq = M.transition_frequencies(M.SpectralSystem(M.PhysicalConstants(), energies))
+        w = freq.levels[:, None] - freq.levels[None, :]
         mass, period = 1.7, 2.5
 
         def check(value, name, n, jumps, factor=1.0):
-            expected, scale = reference_sum(name, x, p, freq.omega, n, jumps)
+            expected, scale = reference_sum(name, x, p, w, n, jumps)
             expected = factor * (expected.real if isinstance(value, float) else expected)
             assert abs(value - expected) <= 1e-13 * abs(factor) * scale
 
@@ -95,7 +96,7 @@ class TestCommutator:
 
 
 _WIDE = np.ones((3, 4))
-_FREQ3 = M.FrequencyTable(np.zeros((3, 3)))
+_FREQ3 = M.FrequencyTable(np.zeros(3))
 _NON_SQUARE_CALLS = [
     (M.commutator, (_WIDE, _WIDE)),
     (M.heisenberg_sum, (_WIDE, _FREQ3, 1.0, 1, 1)),
@@ -114,6 +115,28 @@ _NON_SQUARE_CALLS = [
 def test_non_square_matrix_rejected(function, args):
     with pytest.raises(ValueError, match="square"):
         function(*args)
+
+
+_SIZE_MISMATCH_CALLS = {
+    "heisenberg_sum": lambda x, freq: M.heisenberg_sum(x, freq, 1.0, 5, 1),
+    "heisenberg_sum-table": lambda x, freq: M.heisenberg_sum(
+        M.to_amplitude_table(x, (0, 7), 1), freq, 1.0, 5, 1
+    ),
+    "born_jordan_sum": lambda x, freq: M.born_jordan_sum(x, freq, 1.0, 5, 1),
+    "modified_sum": lambda x, freq: M.modified_sum(x, freq, 1.0, 5, 1),
+    "loop_integral_diagonal": lambda x, freq: M.loop_integral_diagonal(x, x, freq, 2, 1.0),
+}
+
+
+@pytest.mark.parametrize("freq_size", [4, 12])
+@pytest.mark.parametrize("call", _SIZE_MISMATCH_CALLS.values(), ids=list(_SIZE_MISMATCH_CALLS))
+def test_frequency_table_of_another_size_rejected(osc8, constants, call, freq_size):
+    # a smaller table used to read its missing frequencies as zero
+    _, pair = osc8
+    system, _ = M.build_oscillator(constants, freq_size)
+    freq = M.transition_frequencies(system)
+    with pytest.raises(ValueError, match="^position matrix and frequency table sizes disagree$"):
+        call(pair.x, freq)
 
 
 class TestHeisenbergSum:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mmlab as M
+from mmlab import conditions
 
 unit = st.floats(-1.0, 1.0)
 scale = st.floats(0.5, 2.0)
@@ -92,7 +93,8 @@ def test_rephasing_leaves_eq14_eq25_and_the_commutator_diagonal_unchanged(
     phases = np.exp(1j * angles[:size])
     xr = phases[:, None] * x * phases.conj()[None, :]
     pr = phases[:, None] * p * phases.conj()[None, :]
-    sum_scale = mass * (1.0 + np.max(np.abs(freq.omega))) * np.sum(np.abs(x) ** 2)
+    w = freq.levels[:, None] - freq.levels[None, :]
+    sum_scale = mass * (1.0 + np.max(np.abs(w))) * np.sum(np.abs(x) ** 2)
     comm_scale = 2.0 * np.sum(np.abs(x) * np.abs(p.T))
     for n in range(size - alpha):
         for formula in (M.born_jordan_sum, M.modified_sum):
@@ -122,9 +124,64 @@ def test_commutator_trace_vanishes(system):
 @given(st.lists(level, min_size=1, max_size=30), scale)
 def test_frequency_table_is_exactly_antisymmetric(levels, hbar):
     system = M.SpectralSystem(M.PhysicalConstants(hbar=hbar), np.sort(levels))
-    w = M.transition_frequencies(system).omega
+    levels = M.transition_frequencies(system).levels
+    w = levels[:, None] - levels[None, :]
     assert np.array_equal(w, -w.T)
     assert np.all(np.diag(w) == 0.0)
+
+
+@st.composite
+def spectra_and_positions(draw):
+    """A system of sorted levels, hbar and m, and a general complex X of its size."""
+    size = draw(st.integers(1, 20))
+    energies = np.sort(draw(arrays(float, size, elements=level)))
+    constants = M.PhysicalConstants(mass=draw(scale), hbar=draw(scale))
+    x = draw(arrays(float, (size, size), elements=unit)) + 1j * draw(
+        arrays(float, (size, size), elements=unit)
+    )
+    return M.SpectralSystem(constants, energies), x
+
+
+@SETTINGS
+@given(spectra_and_positions(), st.integers(0, 4), st.floats(0.1, 10.0))
+def test_levels_read_bitwise_as_the_dense_frequency_table(case, alpha, period):
+    system, x = case
+    size, mass = system.size, system.constants.mass
+    # the N x N table the package used to store
+    e = system.energies / system.constants.hbar
+    w = e[:, None] - e[None, :]
+    freq = M.transition_frequencies(system)
+
+    assert np.array_equal(freq[:, :], w)
+    for i in range(size):
+        assert np.array_equal(freq[i, :], w[i])
+        for j in range(size):
+            assert repr(freq[i, j]) == repr(w[i, j])
+    p = M.momentum_from_position(x, freq, mass)
+    assert np.array_equal(p, 1j * mass * w * x)
+
+    band = conditions._band
+
+    def dense_band(source, lo, hi, row, col):  # a frequency table read through w's diagonals
+        return band(w if isinstance(source, M.FrequencyTable) else source, lo, hi, row, col)
+
+    table = M.to_amplitude_table(x, (0, size - 1), alpha)
+    calls = [(M.heisenberg_sum, x), (M.heisenberg_sum, table), (M.born_jordan_sum, x),
+             (M.modified_sum, x)]
+
+    def sums():
+        return [repr(f(source, freq, mass, n, alpha)) for f, source in calls
+                for n in range(size - alpha)]
+
+    actual = sums()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conditions, "_band", dense_band)
+        assert actual == sums()
+    product, ordered_sum = conditions._product, conditions._ordered_sum
+    for n in range(size):
+        terms = product(product(product(1j, w[n]), p[n, :]), x[:, n])[::-1]
+        expected = -period * complex(ordered_sum(terms))
+        assert repr(M.loop_integral_diagonal(x, p, freq, n, period)) == repr(expected)
 
 
 @st.composite
