@@ -1,20 +1,29 @@
 """Classical periodic orbits in confining 1-D polynomial potentials.
 
-Turning points, the period, the action integral and the orbit's Fourier
-coefficients are all computed with fixed deterministic resolutions, the
-module constants ``GAUSS_NODES`` and ``RK4_STEPS``.  The square-root endpoint
-singularity of the period and action integrands is removed with the
-substitution x = mid + half * sin(theta), after which Gauss-Legendre
-quadrature converges spectrally.  Orbits start at the right
-turning point with zero velocity, which makes every Fourier coefficient real.
+Turning points, the period and the action integral use fixed deterministic
+resolutions: bisection, and ``GAUSS_NODES`` Gauss-Legendre nodes after the
+substitution x = mid + half * sin(theta), which removes the square-root
+endpoint singularity of the period and action integrands so that the rule
+converges spectrally.  ``quantize`` solves J(E) = n h + J0 by Newton steps
+with dJ/dE = T(E), both read off one set of those samples.
+
+An orbit's Fourier coefficients come from a quadrature rule, not from a time
+integration.  Deflating the turning points out of the energy gap,
+E - V(x) = (x+ - x)(x - x-) Q(x), leaves dt/dphi = sqrt(m / (2 Q(x))) on the
+half orbit x = mid + half * cos(phi), 0 <= phi <= pi, smooth up to both
+turning points.  Sampled at the Chebyshev-Lobatto points, phi_j = pi j / n,
+its cosine series gives the half period and, integrated term by term, the
+time map t(phi); the point count doubles until that series has converged
+(``ORBIT_START_NODES``, ``ORBIT_MAX_NODES``, ``ORBIT_TAIL_TOL``).  Orbits
+start at the right turning point with zero velocity, which makes every Fourier
+coefficient real.
 
 The potential owns V (see :class:`mmlab.spectral.PolynomialPotential`): its
 Horner terms of V and V' and its critical points are computed once, at
-construction.  The scalar hot loops (turning-point bracketing and bisection,
-the RK4 force evaluations) read those terms once per call and run in Python
-floats.  The turning-point count of the topology check is read exactly off
-the critical values, with no root solve per call, and ``orbit_fourier``
-solves its turning points once, sharing them with the period quadrature.
+construction.  The scalar hot loop (turning-point bracketing and bisection)
+reads those terms once per call and runs in Python floats.  The turning-point
+count of the topology check is read exactly off the critical values, with no
+root solve per call.
 """
 
 from __future__ import annotations
@@ -35,9 +44,13 @@ from .spectral import (
 )
 
 GAUSS_NODES = 200
-RK4_STEPS = 4096
 BISECTION_ITERATIONS = 80
-ENERGY_DRIFT_TOL = 1e-8
+#: Intervals of the first Chebyshev-Lobatto orbit rule, and the most a doubling may reach.
+ORBIT_START_NODES = 16
+ORBIT_MAX_NODES = 2**16
+#: The orbit rule has converged when the upper half of the cosine series of
+#: dt/dphi lies below this fraction of its largest sample.
+ORBIT_TAIL_TOL = 1e-14
 #: Amplitudes below this fraction of the alpha = 1 amplitude are rounding noise:
 #: parity-forbidden jumps measured <= 3.3e-12 of it, allowed ones >= 1.5e-4.
 AMP_NOISE_FLOOR = 1e-10
@@ -116,24 +129,32 @@ def _well_samples(potential, energy, x_lo, x_hi):
     return half * cos_theta, w, gap
 
 
-def _period(potential, energy, mass, x_lo, x_hi) -> float:
-    jacobian, w, gap = _well_samples(potential, energy, x_lo, x_hi)
-    integrand = jacobian * np.sqrt(mass / (2.0 * gap))
-    return float(2.0 * 0.5 * math.pi * np.dot(w, integrand))
+def _period(jacobian, w, gap, mass) -> float:
+    return float(2.0 * 0.5 * math.pi * np.dot(w, jacobian * np.sqrt(mass / (2.0 * gap))))
+
+
+def _action(jacobian, w, gap, mass) -> float:
+    return float(2.0 * 0.5 * math.pi * np.dot(w, jacobian * np.sqrt(2.0 * mass * gap)))
+
+
+def _action_and_period(potential, energy, mass) -> tuple[float, float]:
+    """J(E), bit for bit as :func:`action_direct`, and T(E) from the same samples."""
+    samples = _well_samples(potential, energy, *turning_points(potential, energy))
+    return _action(*samples, mass), _period(*samples, mass)
 
 
 def orbit_period(potential: PolynomialPotential, energy: float, mass: float) -> float:
     """Period T = 2 integral dx sqrt(m / (2 (E - V(x)))) over one libration."""
     _check_positive("mass", mass)
-    return _period(potential, energy, mass, *turning_points(potential, energy))
+    samples = _well_samples(potential, energy, *turning_points(potential, energy))
+    return _period(*samples, mass)
 
 
 def action_direct(potential: PolynomialPotential, energy: float, mass: float) -> float:
     """Action J = 2 integral dx sqrt(2 m (E - V(x))), the loop integral of p dx."""
     _check_positive("mass", mass)
-    jacobian, w, gap = _well_samples(potential, energy, *turning_points(potential, energy))
-    integrand = jacobian * np.sqrt(2.0 * mass * gap)
-    return float(2.0 * 0.5 * math.pi * np.dot(w, integrand))
+    samples = _well_samples(potential, energy, *turning_points(potential, energy))
+    return _action(*samples, mass)
 
 
 @dataclass(frozen=True)
@@ -173,61 +194,131 @@ class ClassicalOrbit:
         return 1j * self.mass * alpha * self.omega * self.fourier[alpha]
 
 
+def _gap_quotient(potential, energy, x_lo, x_hi) -> tuple[float, tuple[float, ...]]:
+    """Horner terms of Q with V(x) - E = (x - x+)(x - x-) Q(x), by synthetic division.
+
+    Each division drops its remainder, V - E at a turning point, which bisection
+    has left at rounding level.  Q is then a divided difference of V - E: smooth,
+    and positive on the closed well, so E - V = (x+ - x)(x - x-) Q(x) has its two
+    zeros factored out exactly.
+    """
+    top, rest = potential.v_terms
+    terms = [top, *rest[:-1], rest[-1] - energy]
+    for root in (x_hi, x_lo):
+        quotient = [terms[0]]
+        for c in terms[1:-1]:
+            quotient.append(c + root * quotient[-1])
+        terms = quotient
+    return terms[0], tuple(terms[1:])
+
+
+def _orbit_samples(q_terms, mid, half, mass, n, coarse=None):
+    """Points x_j = mid + half cos(pi j / n) and dt/dphi = sqrt(m / (2 Q(x_j))), j = 0..n.
+
+    ``coarse`` is dt/dphi on the rule with n / 2 intervals, whose points are
+    the even ones here, so only the odd points are evaluated.
+    """
+    x = mid + half * np.cos(np.arange(n + 1) * (math.pi / n))
+    rate = np.empty(n + 1)
+    fresh = slice(None)
+    if coarse is not None:
+        rate[::2] = coarse
+        fresh = slice(1, None, 2)
+    q = _horner(*q_terms, x[fresh])
+    if np.any(q <= 0.0):
+        raise NumericalError("potential exceeds the energy inside the well")
+    rate[fresh] = np.sqrt(mass / (2.0 * q))
+    return x, rate
+
+
+def _cosine_series(rate) -> np.ndarray:
+    """Coefficients a_0..a_n of rate(phi) = sum_k a_k cos(k phi) from its n + 1 Lobatto
+    samples (a DCT-I through one real FFT of the even extension)."""
+    n = rate.size - 1
+    series = np.fft.rfft(np.concatenate((rate, rate[-2:0:-1]))).real / n
+    series[0] *= 0.5
+    series[n] *= 0.5
+    return series
+
+
+def _harmonic_rule(x, rate, series):
+    """Phase psi_j = w t(phi_j) and weights with X_a = sum_j weight_j cos(a psi_j).
+
+    With T = 2 pi a_0, psi(phi) = phi + sum_k a_k sin(k phi) / (k a_0): the
+    cosine series integrated term by term, summed at the nodes by one real FFT
+    of the odd extension (a DST-I).  It is 0 at x+ and pi at x- exactly.  The
+    weights are the trapezoidal rule in phi, spectrally accurate on this
+    smooth periodic integrand, of X_a = (1/pi) integral_0^pi x cos(a psi) dpsi
+    with dpsi/dphi = rate / a_0.
+    """
+    n = rate.size - 1
+    odd = np.zeros(2 * n)
+    odd[1:n] = series[1:n] / (np.arange(1, n) * series[0])
+    odd[n + 1 :] = -odd[n - 1 : 0 : -1]
+    phase = np.arange(n + 1) * (math.pi / n) - 0.5 * np.fft.rfft(odd).imag
+    weights = x * rate / (n * series[0])
+    weights[0] *= 0.5
+    weights[n] *= 0.5
+    return phase, weights
+
+
 def orbit_fourier(
     potential: PolynomialPotential,
     energy: float,
     mass: float,
     alpha_max: int,
 ) -> ClassicalOrbit:
-    """Integrate one period from the right turning point and Fourier-analyze it.
+    """Fourier coefficients X_a = (2/T) integral x(t) cos(a w t) dt over the half orbit.
 
-    Fixed-step fourth-order Runge-Kutta over [0, T] followed by a discrete
-    Fourier sum on the equispaced samples.  Starting at x+ with zero velocity
-    makes x(t) even in time, so all coefficients come out real.  Raises
-    :class:`NumericalError` when the energy drifts by more than 1e-8 relative
-    over the period.
+    The orbit starts at the right turning point with zero velocity, so x(t) is
+    even in time and every coefficient is real, X_-a = X_a.  The half orbit
+    x+ -> x- is the Chebyshev-Lobatto rule of the module docstring: the point
+    count starts at ``ORBIT_START_NODES`` intervals and doubles until the upper
+    half of the cosine series of dt/dphi is below ``ORBIT_TAIL_TOL`` of its
+    largest sample.  The period is twice the converged rule's half period.  A
+    harmonic a > n / 2 is summed on a rule doubled until n >= 2 a, so X_a
+    depends on a and the orbit only, never on ``alpha_max``.  Raises
+    :class:`NumericalError` when the rule has not converged at
+    ``ORBIT_MAX_NODES`` intervals (on (x^2 - 1)^2 that takes an energy less
+    than about 1e-5 above the barrier), and ``ValueError`` for an
+    ``alpha_max`` above ``ORBIT_MAX_NODES / 2``.
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
+    if alpha_max > ORBIT_MAX_NODES // 2:
+        raise ValueError(f"alpha_max must be at most {ORBIT_MAX_NODES // 2}")
     _check_positive("mass", mass)
     x_lo, x_hi = turning_points(potential, energy)
-    period = _period(potential, energy, mass, x_lo, x_hi)
-    top, rest = potential.dv_terms
-    dt = period / RK4_STEPS
-    half_dt = 0.5 * dt
-    sixth_dt = dt / 6.0
-    samples = []
-    x, v = x_hi, 0.0
-    for _ in range(RK4_STEPS):
-        samples.append(x)
-        k1x = v
-        k1v = -_horner(top, rest, x) / mass
-        k2x = v + half_dt * k1v
-        k2v = -_horner(top, rest, x + half_dt * k1x) / mass
-        k3x = v + half_dt * k2v
-        k3v = -_horner(top, rest, x + half_dt * k2x) / mass
-        k4x = v + dt * k3v
-        k4v = -_horner(top, rest, x + dt * k3x) / mass
-        x += sixth_dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v += sixth_dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    samples = np.array(samples)
-    drift = abs(0.5 * mass * v * v + float(potential(x)) - energy)
-    if drift > ENERGY_DRIFT_TOL * max(abs(energy), 1e-30):
-        raise NumericalError(
-            f"energy drifted by {drift:.3e} over one period; refine RK4_STEPS"
-        )
-    base = 2.0 * math.pi / period
-    times = np.arange(RK4_STEPS) * dt
-    fourier = {}
-    for a in range(-alpha_max, alpha_max + 1):
-        fourier[a] = complex(np.dot(samples, np.exp(-1j * a * base * times)) / RK4_STEPS)
+    q_terms = _gap_quotient(potential, energy, x_lo, x_hi)
+    mid, half = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
+    n, rate = ORBIT_START_NODES, None
+    while True:
+        x, rate = _orbit_samples(q_terms, mid, half, mass, n, rate)
+        series = _cosine_series(rate)
+        if np.max(np.abs(series[n // 2 :])) <= ORBIT_TAIL_TOL * np.max(rate):
+            break
+        if n >= ORBIT_MAX_NODES:
+            raise NumericalError(
+                f"orbit rule at energy {energy} did not converge with {n} intervals"
+            )
+        n *= 2
+    period = 2.0 * (math.pi * series[0])
+    phase, weights = _harmonic_rule(x, rate, series)
+    coefficients = []
+    for a in range(alpha_max + 1):
+        if n < 2 * a:  # n >= 2 (a - 1) held, so one doubling resolves harmonic a
+            n *= 2
+            x, rate = _orbit_samples(q_terms, mid, half, mass, n, rate)
+            phase, weights = _harmonic_rule(x, rate, _cosine_series(rate))
+        coefficients.append(complex(float(np.dot(weights, np.cos(a * phase)))))
+    fourier = {a: coefficients[abs(a)] for a in range(-alpha_max, alpha_max + 1)}
     return ClassicalOrbit(
         potential=potential,
         energy=energy,
         mass=mass,
         x_minus=x_lo,
         x_plus=x_hi,
-        period=period,
+        period=float(period),
         alpha_max=alpha_max,
         fourier=fourier,
     )
@@ -275,7 +366,14 @@ def quantize(
     offset: float,
     n: int,
 ) -> QuantizationResult:
-    """Solve J(E) = n h + J0 for the energy by bisection on the monotone action.
+    """Solve J(E) = n h + J0 for the energy by safeguarded Newton steps.
+
+    Each iterate takes one turning-point solve and one set of ``GAUSS_NODES``
+    samples for both J(E), the value of :func:`action_direct`, and its slope
+    dJ/dE = T(E).  The root is bracketed first, from the potential minimum
+    upward by doubling steps; a Newton step that leaves the bracket
+    (E_lo, E_hi) is replaced by its midpoint.  Converged means
+    |J - (n h + J0)| <= 1e-10 h within 200 iterates.
 
     ``offset`` is the undetermined additive constant J0 of the action rule,
     passed explicitly (0 for the bare rule, h/2 for the half-quantum shift).
@@ -295,21 +393,25 @@ def quantize(
             n=n, energy=v_min, action=0.0, offset=offset, converged=True, iterations=0
         )
     step = max(hbar, 1e-3)
-    e_hi = v_min + step
+    energy = e_hi = v_min + step
+    action, period = _action_and_period(potential, energy, mass)
     expansions = 0
-    while action_direct(potential, e_hi, mass) < target:
+    while action < target:
         step *= 2.0
-        e_hi = v_min + step
+        energy = e_hi = v_min + step
         expansions += 1
         if expansions > 200:
             raise NumericalError("action bracketing failed; J(E) did not reach the target")
+        action, period = _action_and_period(potential, energy, mass)
     e_lo = v_min
     tolerance = 1e-10 * h
     iterations = 0
     converged = False
     while iterations < 200:
-        energy = 0.5 * (e_lo + e_hi)
-        action = action_direct(potential, energy, mass)
+        energy = energy - (action - target) / period
+        if not e_lo < energy < e_hi:
+            energy = 0.5 * (e_lo + e_hi)
+        action, period = _action_and_period(potential, energy, mass)
         iterations += 1
         if abs(action - target) <= tolerance:
             converged = True

@@ -105,8 +105,14 @@ class FrequencyTable:
 
 
 def transition_frequencies(system: SpectralSystem) -> FrequencyTable:
-    """Frequency table w(n, n') = (E_n - E_n') / hbar of a system."""
-    return FrequencyTable(system.energies / system.constants.hbar)
+    """Frequency table w(n, n') = (E_n - E_n') / hbar of a system.
+
+    A level E / hbar that overflows is left infinite without a warning; the
+    table then rejects it as ``transition frequencies must be finite``.
+    """
+    with np.errstate(over="ignore"):
+        levels = system.energies / system.constants.hbar
+    return FrequencyTable(levels)
 
 
 def _square(*matrices) -> tuple[np.ndarray, ...]:

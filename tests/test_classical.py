@@ -101,15 +101,76 @@ class TestOrbitFourier:
         expected = 1j * 1.0 * orbit.omega * orbit.fourier[1]
         assert orbit.momentum_fourier(1) == pytest.approx(expected, abs=1e-12)
 
-    def test_energy_drift_detected(self, monkeypatch):
-        monkeypatch.setattr(classical, "RK4_STEPS", 8)
-        with pytest.raises(M.NumericalError):
+    def test_unconverged_rule_raises(self, monkeypatch):
+        # the quartic's rule converges at 64 intervals; capped at 16 it must fail loudly
+        monkeypatch.setattr(classical, "ORBIT_MAX_NODES", 16)
+        with pytest.raises(M.NumericalError, match="did not converge with 16 intervals"):
             M.orbit_fourier(PERTURBED, 2.0, 1.0, alpha_max=2)
+
+    def test_alpha_max_beyond_the_finest_rule_rejected(self, monkeypatch):
+        monkeypatch.setattr(classical, "ORBIT_MAX_NODES", 64)
+        limit = 32
+        M.orbit_fourier(SHO, 1.0, 1.0, alpha_max=limit)
+        with pytest.raises(ValueError, match=f"^alpha_max must be at most {limit}$"):
+            M.orbit_fourier(SHO, 1.0, 1.0, alpha_max=limit + 1)
+
+    @pytest.mark.parametrize("energy", [1.001, 1.01])
+    def test_near_barrier_orbit_is_returned(self, energy):
+        # just above the barrier V(0) = 1 dt/dx peaks sharply at x = 0; the rule refines
+        # until it resolves the peak, and the orbit passes its realness and symmetry checks
+        orbit = M.orbit_fourier(DOUBLE_WELL, energy, 1.0, alpha_max=4)
+        for a in range(5):
+            assert orbit.fourier[-a] == orbit.fourier[a]
+            assert orbit.fourier[a].imag == 0.0
+        for a in (0, 2, 4):  # V is even
+            assert abs(orbit.fourier[a]) <= 1e-14
+        assert orbit.fourier[1].real > orbit.fourier[3].real > 0.0
+
+    @pytest.mark.parametrize("energy", [1.05, 1.2])
+    def test_near_barrier_period_matches_a_fine_gauss_rule(self, monkeypatch, energy):
+        period = M.orbit_fourier(DOUBLE_WELL, energy, 1.0, alpha_max=1).period
+        monkeypatch.setattr(classical, "GAUSS_NODES", 3200)
+        reference = M.orbit_period(DOUBLE_WELL, energy, 1.0)
+        assert abs(period - reference) <= 1e-8 * reference
 
     def test_turning_point_consistency(self):
         orbit = M.orbit_fourier(PERTURBED, 2.0, 1.0, alpha_max=3)
         assert orbit.potential(orbit.x_plus) == pytest.approx(2.0, rel=1e-10)
         assert orbit.omega == pytest.approx(2.0 * math.pi / orbit.period, rel=1e-15)
+
+
+class TestExactReferences:
+    @pytest.mark.parametrize("c2", [0.05, 0.5, 3.0])
+    @pytest.mark.parametrize("mass", [0.5, 2.0])
+    @pytest.mark.parametrize("energy", [1e-3, 1.0, 50.0])
+    def test_oscillator(self, c2, mass, energy):
+        # x(t) = A cos(w t): X_(+-1) = A / 2 and no other harmonic, even far above the
+        # 16-interval rule's own resolution (alpha = 40)
+        amplitude = math.sqrt(energy / c2)
+        orbit = M.orbit_fourier(M.PolynomialPotential((0.0, 0.0, c2)), energy, mass, 40)
+        tol = 1e-14 * max(1.0, amplitude)
+        for a, coeff in orbit.fourier.items():
+            assert abs(coeff - (0.5 * amplitude if abs(a) == 1 else 0.0)) <= tol
+        period = 2.0 * math.pi / math.sqrt(2.0 * c2 / mass)
+        assert abs(orbit.period - period) <= 1e-14 * period
+
+    @pytest.mark.parametrize("energy", [1e-3, 0.1, 1.0, 7.5, 1e4])
+    def test_pure_quartic(self, energy):
+        # V = x^4 / 4, m = 1: x = A cn(A t, 1/sqrt 2), A = (4 E)^(1/4), whose Fourier
+        # series has X_(2n+1) = sqrt 2 A pi / K q^(n + 1/2) / (1 + q^(2n+1)), q = e^(-pi)
+        amplitude = (4.0 * energy) ** 0.25
+        k = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(math.pi))
+        q = math.exp(-math.pi)
+        orbit = M.orbit_fourier(PURE_QUARTIC, energy, 1.0, 15)
+        tol = 1e-14 * max(1.0, amplitude)
+        for a, coeff in orbit.fourier.items():
+            n, odd = divmod(abs(a), 2)
+            expected = math.sqrt(2.0) * amplitude * math.pi / k * q ** (n + 0.5) / (
+                1.0 + q ** (2 * n + 1)
+            ) if odd else 0.0
+            assert abs(coeff - expected) <= tol
+        period = 4.0 * k / amplitude
+        assert abs(orbit.period - period) <= 1e-14 * period
 
 
 class TestActions:
@@ -539,13 +600,17 @@ class TestBitIdenticalToPolyvalReference:
     @pytest.mark.parametrize("name", sorted(ALL))
     @pytest.mark.parametrize("mass", MASSES)
     def test_orbit_fourier(self, name, mass):
+        # the coefficients come from a quadrature rule, not from a time integration:
+        # the turning points stay bitwise, the coefficients within 1e-11 of RK4 at
+        # four times the step count the replaced loop used
         energy = _energies(name)[1]
         orbit = M.orbit_fourier(ALL[name], energy, mass, alpha_max=4)
-        new = (orbit.x_minus, orbit.x_plus, orbit.period, orbit.fourier)
-        ref = _ref_orbit_fourier(ALL[name], energy, mass, alpha_max=4)
-        assert new == ref
-        assert repr(new) == repr(ref)
-        assert orbit.period == M.orbit_period(ALL[name], energy, mass)
+        x_lo, x_hi, _, ref = _ref_orbit_fourier(ALL[name], energy, mass, 4, rk_steps=16384)
+        assert repr((orbit.x_minus, orbit.x_plus)) == repr((x_lo, x_hi))
+        for a in range(-4, 5):
+            assert abs(orbit.fourier[a] - ref[a]) <= 1e-11
+        period = M.orbit_period(ALL[name], energy, mass)
+        assert abs(orbit.period - period) <= 1e-10 * period
 
     @pytest.mark.parametrize(
         "name, mass, n, offset",  # J0 = 0 or h/2 at hbar = 1; every mass, every convex well
@@ -559,9 +624,16 @@ class TestBitIdenticalToPolyvalReference:
         ],
     )
     def test_quantize(self, name, mass, n, offset):
-        result = M.quantize(CONVEX[name], mass, 1.0, offset, n)
-        new = (result.energy, result.action, result.converged, result.iterations)
-        assert new == _ref_quantize(CONVEX[name], mass, 1.0, offset, n)
+        # Newton and the reference bisection both stop within 1e-10 h of the target
+        # action, so their energies differ by at most 2e-10 h / (dJ/dE = T)
+        potential, h = CONVEX[name], 2.0 * math.pi
+        result = M.quantize(potential, mass, 1.0, offset, n)
+        energy, _, converged, _ = _ref_quantize(potential, mass, 1.0, offset, n)
+        assert result.converged and converged
+        assert result.action == M.action_direct(potential, result.energy, mass)
+        assert abs(result.action - (n * h + offset)) <= 1e-10 * h
+        period = M.orbit_period(potential, result.energy, mass)
+        assert abs(result.energy - energy) <= 2e-10 * h / period
 
     def test_below_barrier_quantize_fails_alike(self):
         with pytest.raises(M.UnsupportedTopologyError) as new:

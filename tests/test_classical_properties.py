@@ -168,3 +168,64 @@ def test_topology_check_at_a_critical_value_counts_exactly(potential, pick):
         min(a, b) < energy < max(a, b) for a, b in zip(ends, ends[1:])
     )
     _check_topology(potential, energy, expected)
+
+
+@SETTINGS
+@given(
+    potential=convex_potentials(),
+    depth=st.floats(1e-3, 50.0),
+    mass=st.floats(0.2, 5.0),
+    alpha_max=st.integers(1, 12),
+)
+def test_orbit_harmonics_do_not_depend_on_alpha_max(potential, depth, mass, alpha_max):
+    # correspondence_report's state rule reads X_a off one orbit for every jump
+    energy = potential.minimum()[1] + depth
+    full = M.orbit_fourier(potential, energy, mass, 12)
+    orbit = M.orbit_fourier(potential, energy, mass, alpha_max)
+    for a in range(-alpha_max, alpha_max + 1):
+        assert repr(orbit.fourier[a]) == repr(full.fourier[a])
+        assert repr(orbit.fourier[-a]) == repr(orbit.fourier[a])
+    assert orbit.period == full.period
+    reference = _deflated_period(potential, energy, mass)
+    assert abs(orbit.period - reference) <= 1e-13 * reference
+
+
+def _deflated_period(potential, energy, mass, nodes=200):
+    """T = 2 integral dtheta sqrt(m / (2 Q)), x = mid + half sin(theta), by Gauss-Legendre,
+    with V - E = (x - x-)(x - x+) Q(x) divided out by polydiv.
+
+    ``orbit_period`` is no reference here: its E - V cancels near the turning
+    points, which costs it 1.2e-10 relative on V = x + x^2 + x^4 / 2 at 1e-3
+    above the minimum, where both orbit_fourier's period and this rule agree
+    with a 40-digit quadrature to 1e-16.
+    """
+    x_lo, x_hi = M.turning_points(potential, energy)
+    shifted = potential.coefficients.copy()
+    shifted[0] -= energy
+    q, _ = np.polynomial.polynomial.polydiv(shifted, [x_lo * x_hi, -(x_lo + x_hi), 1.0])
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    x = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * np.sin(0.5 * math.pi * t)
+    gap = np.polynomial.polynomial.polyval(x, q)
+    return float(math.pi * np.dot(w, np.sqrt(mass / (2.0 * gap))))
+
+
+@SETTINGS
+@given(
+    potential=convex_potentials(),
+    mass=st.floats(0.2, 5.0),
+    hbar=st.floats(0.1, 3.0),
+    half_quantum=st.booleans(),
+)
+def test_newton_quantize_converges_in_few_iterations(potential, mass, hbar, half_quantum):
+    h = 2.0 * math.pi * hbar
+    offset = 0.5 * h if half_quantum else 0.0
+    energies = []
+    for n in range(6):
+        result = M.quantize(potential, mass, hbar, offset, n)
+        assert result.converged
+        energies.append(result.energy)
+        if n == 0 and not half_quantum:
+            continue  # zero target: the potential minimum, no iteration
+        assert abs(result.action - (n * h + offset)) <= 1e-10 * h
+        assert 1 <= result.iterations <= 8
+    assert all(b > a for a, b in zip(energies, energies[1:]))

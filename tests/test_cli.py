@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +40,16 @@ class TestExitCodes:
 
     def test_non_confining_potential_rejected(self):
         assert run_cli(["potential", "--coeffs", "0,1", "--size", "4"]) == 2
+
+    def test_overflowing_frequencies_print_only_the_error(self):
+        # a fresh interpreter: pytest records numpy's warnings instead of printing them
+        argv = ["oscillator", "--omega", "1e308", "--hbar", "0.5", "--size", "3"]
+        result = subprocess.run(
+            [sys.executable, "-m", "mmlab", *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: transition frequencies must be finite\n"
+        assert result.stdout == ""
 
     def test_write_failure_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"
