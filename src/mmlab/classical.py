@@ -279,9 +279,9 @@ def orbit_fourier(
     harmonic a > n / 2 is summed on a rule doubled until n >= 2 a, so X_a
     depends on a and the orbit only, never on ``alpha_max``.  Raises
     :class:`NumericalError` when the rule has not converged at
-    ``ORBIT_MAX_NODES`` intervals (on (x^2 - 1)^2 that takes an energy less
-    than about 1e-5 above the barrier), and ``ValueError`` for an
-    ``alpha_max`` above ``ORBIT_MAX_NODES / 2``.
+    ``ORBIT_MAX_NODES`` intervals (on (x^2 - 1)^2, at 1e-6 above the barrier;
+    1e-5 still converges), and ``ValueError`` for an ``alpha_max`` above
+    ``ORBIT_MAX_NODES / 2``.
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
@@ -302,7 +302,7 @@ def orbit_fourier(
                 f"orbit rule at energy {energy} did not converge with {n} intervals"
             )
         n *= 2
-    period = 2.0 * (math.pi * series[0])
+    period = 2.0 * (math.pi * float(series[0]))
     phase, weights = _harmonic_rule(x, rate, series)
     coefficients = []
     for a in range(alpha_max + 1):
@@ -318,7 +318,7 @@ def orbit_fourier(
         mass=mass,
         x_minus=x_lo,
         x_plus=x_hi,
-        period=float(period),
+        period=period,
         alpha_max=alpha_max,
         fourier=fourier,
     )

@@ -231,6 +231,14 @@ class TestQuantize:
         assert result.converged and result.iterations == 0
         assert result.energy == 0.0 and result.action == 0.0
 
+    @pytest.mark.parametrize("offset", [1e-3, 0.1])
+    def test_newton_step_past_the_minimum_bisects(self, offset):
+        # from the bracket top E = 1 the tangent of the concave J(E) ~ E^(3/4) meets a
+        # small target below the potential minimum, where J is undefined: bisect there
+        result = M.quantize(PURE_QUARTIC, 1.0, 1.0, offset, 0)
+        assert result.converged
+        assert abs(result.action - offset) <= 1e-10 * 2.0 * math.pi
+
     def test_gaps_are_uniform(self):
         energies = [M.quantize(SHO, 1.0, 1.0, 0.0, n).energy for n in range(6)]
         gaps = np.diff(energies)
