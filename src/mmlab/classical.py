@@ -1,36 +1,34 @@
 """Classical periodic orbits in confining 1-D polynomial potentials.
 
-Turning points, the period and the action integral use fixed deterministic
-resolutions: bisection, and ``GAUSS_NODES`` Gauss-Legendre nodes after the
-substitution x = mid + half * sin(theta), which removes the square-root
-endpoint singularity of the period and action integrands so that the rule
-converges spectrally.  ``quantize`` solves J(E) = n h + J0 by Newton steps
-with dJ/dE = T(E), both read off one set of those samples.
-
-An orbit's Fourier coefficients come from a quadrature rule, not from a time
-integration.  Deflating the turning points out of the energy gap,
+Every integral over an orbit comes from one quadrature rule per energy.
+Deflating the turning points out of the energy gap,
 E - V(x) = (x+ - x)(x - x-) Q(x), leaves dt/dphi = sqrt(m / (2 Q(x))) on the
 half orbit x = mid + half * cos(phi), 0 <= phi <= pi, smooth up to both
 turning points.  Sampled at the Chebyshev-Lobatto points, phi_j = pi j / n,
 its cosine series gives the half period and, integrated term by term, the
 time map t(phi); the point count doubles until that series has converged
-(``ORBIT_START_NODES``, ``ORBIT_MAX_NODES``, ``ORBIT_TAIL_TOL``).  Orbits
-start at the right turning point with zero velocity, which makes every Fourier
-coefficient real.
+(``ORBIT_START_NODES``, ``ORBIT_MAX_NODES``, ``ORBIT_TAIL_TOL``).  The same
+samples give the action: E - V = half^2 sin^2(phi) Q, so
+J = 2 m half^2 integral_0^pi sin^2(phi) / (dt/dphi) dphi, a trapezoidal sum
+on a smooth periodic integrand and so spectrally accurate.  ``orbit_period``,
+``action_direct``, ``orbit_fourier`` and ``quantize`` all read that rule;
+``quantize`` solves J(E) = n h + J0 by safeguarded Newton steps with
+dJ/dE = T(E).  Orbits start at the right turning point with zero velocity,
+which makes every Fourier coefficient real.
 
 The potential owns V (see :class:`mmlab.spectral.PolynomialPotential`): its
 Horner terms of V and V' and its critical points are computed once, at
-construction.  The scalar hot loop (turning-point bracketing and bisection)
-reads those terms once per call and runs in Python floats.  The turning-point
-count of the topology check is read exactly off the critical values, with no
-root solve per call.
+construction.  The scalar hot loop (turning-point bracketing and Newton
+steps) reads those terms once per call and runs in Python floats.  The
+turning-point count of the topology check is read exactly off the critical
+values, with no root solve per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,10 +41,8 @@ from .spectral import (
     transition_frequencies,
 )
 
-GAUSS_NODES = 200
-BISECTION_ITERATIONS = 80
 #: Intervals of the first Chebyshev-Lobatto orbit rule, and the most a doubling may reach.
-ORBIT_START_NODES = 16
+ORBIT_START_NODES = 64
 ORBIT_MAX_NODES = 2**16
 #: The orbit rule has converged when the upper half of the cosine series of
 #: dt/dphi lies below this fraction of its largest sample.
@@ -59,14 +55,6 @@ AMP_NOISE_FLOOR = 1e-10
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-@lru_cache(maxsize=8)
-def _gauss_rule(nodes: int):
-    """Gauss-Legendre nodes mapped to theta in [-pi/2, pi/2]: (sin, cos, weights)."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    theta = 0.5 * math.pi * t
-    return np.sin(theta), np.cos(theta), w
 
 
 def turning_points(potential: PolynomialPotential, energy: float) -> tuple[float, float]:
@@ -87,74 +75,42 @@ def turning_points(potential: PolynomialPotential, energy: float) -> tuple[float
             "below-barrier multi-well orbits are not supported"
         )
     top, rest = potential.v_terms
+    d_top, d_rest = potential.dv_terms
 
     def crossing(direction: float) -> float:
+        # expand (inner, outer] outward from the minimum until V(outer) >= E
         step = max(1.0, abs(x_min))
-        inner = x_min
-        outer = x_min + direction * step
+        inner, x = x_min, x_min + direction * step
+        f = _horner(top, rest, x) - energy
         expansions = 0
-        while _horner(top, rest, outer) < energy:
-            inner = outer
+        while f < 0.0:
+            inner = x
             step *= 2.0
-            outer = x_min + direction * step
+            x = x_min + direction * step
+            f = _horner(top, rest, x) - energy
             expansions += 1
             if expansions > 200:
                 raise NumericalError("turning-point bracket expansion failed")
-        lo, hi = (inner, outer) if direction > 0 else (outer, inner)
-        f_hi = _horner(top, rest, hi) - energy
-        for _ in range(BISECTION_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            f_mid = _horner(top, rest, mid) - energy
-            if f_mid * f_hi <= 0.0:
-                if mid == lo:
-                    break  # (lo, hi) is a fixed point: every later step repeats this one
-                lo = mid
+        outer = x
+        # Newton from the outer end; V(inner) < E <= V(outer) holds throughout, and
+        # a step that leaves the bracket (or meets V' = 0) is replaced by its midpoint
+        while f != 0.0:
+            slope = _horner(d_top, d_rest, x)
+            new = x - f / slope if slope else math.nan
+            if new == x:
+                break  # the step is below half an ulp of x
+            if not (new - inner) * (new - outer) < 0.0:
+                new = 0.5 * (inner + outer)
+                if new == inner or new == outer:
+                    break  # the bracket is two adjacent floats
+            x, f = new, _horner(top, rest, new) - energy
+            if f < 0.0:
+                inner = x
             else:
-                if mid == hi:
-                    break
-                hi, f_hi = mid, f_mid
-        return 0.5 * (lo + hi)
+                outer = x
+        return x
 
     return crossing(-1.0), crossing(+1.0)
-
-
-def _well_samples(potential, energy, x_lo, x_hi):
-    mid = 0.5 * (x_lo + x_hi)
-    half = 0.5 * (x_hi - x_lo)
-    sin_theta, cos_theta, w = _gauss_rule(GAUSS_NODES)
-    x = mid + half * sin_theta
-    gap = energy - potential(x)
-    if np.any(gap <= 0.0):
-        raise NumericalError("potential exceeds the energy inside the well")
-    return half * cos_theta, w, gap
-
-
-def _period(jacobian, w, gap, mass) -> float:
-    return float(2.0 * 0.5 * math.pi * np.dot(w, jacobian * np.sqrt(mass / (2.0 * gap))))
-
-
-def _action(jacobian, w, gap, mass) -> float:
-    return float(2.0 * 0.5 * math.pi * np.dot(w, jacobian * np.sqrt(2.0 * mass * gap)))
-
-
-def _action_and_period(potential, energy, mass) -> tuple[float, float]:
-    """J(E), bit for bit as :func:`action_direct`, and T(E) from the same samples."""
-    samples = _well_samples(potential, energy, *turning_points(potential, energy))
-    return _action(*samples, mass), _period(*samples, mass)
-
-
-def orbit_period(potential: PolynomialPotential, energy: float, mass: float) -> float:
-    """Period T = 2 integral dx sqrt(m / (2 (E - V(x)))) over one libration."""
-    _check_positive("mass", mass)
-    samples = _well_samples(potential, energy, *turning_points(potential, energy))
-    return _period(*samples, mass)
-
-
-def action_direct(potential: PolynomialPotential, energy: float, mass: float) -> float:
-    """Action J = 2 integral dx sqrt(2 m (E - V(x))), the loop integral of p dx."""
-    _check_positive("mass", mass)
-    samples = _well_samples(potential, energy, *turning_points(potential, energy))
-    return _action(*samples, mass)
 
 
 @dataclass(frozen=True)
@@ -197,10 +153,10 @@ class ClassicalOrbit:
 def _gap_quotient(potential, energy, x_lo, x_hi) -> tuple[float, tuple[float, ...]]:
     """Horner terms of Q with V(x) - E = (x - x+)(x - x-) Q(x), by synthetic division.
 
-    Each division drops its remainder, V - E at a turning point, which bisection
-    has left at rounding level.  Q is then a divided difference of V - E: smooth,
-    and positive on the closed well, so E - V = (x+ - x)(x - x-) Q(x) has its two
-    zeros factored out exactly.
+    Each division drops its remainder, V - E at a turning point, which Newton's
+    method has left at rounding level.  Q is then a divided difference of V - E:
+    smooth, and positive on the closed well, so E - V = (x+ - x)(x - x-) Q(x) has
+    its two zeros factored out exactly.
     """
     top, rest = potential.v_terms
     terms = [top, *rest[:-1], rest[-1] - energy]
@@ -212,13 +168,14 @@ def _gap_quotient(potential, energy, x_lo, x_hi) -> tuple[float, tuple[float, ..
     return terms[0], tuple(terms[1:])
 
 
-def _orbit_samples(q_terms, mid, half, mass, n, coarse=None):
-    """Points x_j = mid + half cos(pi j / n) and dt/dphi = sqrt(m / (2 Q(x_j))), j = 0..n.
+def _orbit_samples(q_terms, x_lo, x_hi, mass, n, coarse=None):
+    """Points x_j = mid + half cos(pi j / n) and dt/dphi = sqrt(m / (2 Q(x_j))), j = 0..n,
+    with mid and half the midpoint and half width of [x-, x+].
 
     ``coarse`` is dt/dphi on the rule with n / 2 intervals, whose points are
     the even ones here, so only the odd points are evaluated.
     """
-    x = mid + half * np.cos(np.arange(n + 1) * (math.pi / n))
+    x = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * np.cos(np.arange(n + 1) * (math.pi / n))
     rate = np.empty(n + 1)
     fresh = slice(None)
     if coarse is not None:
@@ -239,6 +196,71 @@ def _cosine_series(rate) -> np.ndarray:
     series[0] *= 0.5
     series[n] *= 0.5
     return series
+
+
+class _OrbitRule(NamedTuple):
+    """One energy's converged half orbit: the turning points, the Horner terms of
+    Q, and the Lobatto points x_j, samples rate_j of dt/dphi and their cosine series."""
+
+    x_lo: float
+    x_hi: float
+    q_terms: tuple
+    mass: float
+    x: np.ndarray
+    rate: np.ndarray
+    series: np.ndarray
+
+    @property
+    def period(self) -> float:
+        """T = 2 pi a_0, twice the half period."""
+        return 2.0 * (math.pi * float(self.series[0]))
+
+    @property
+    def action(self) -> float:
+        """J = 2 m half^2 (pi / n) sum_j sin^2(phi_j) / rate_j, the trapezoidal rule
+        (its end terms are zero)."""
+        n = self.rate.size - 1
+        half = 0.5 * (self.x_hi - self.x_lo)
+        sin2 = np.sin(np.arange(n + 1) * (math.pi / n)) ** 2
+        return float(2.0 * self.mass * half * half * (math.pi / n) * np.sum(sin2 / self.rate))
+
+
+def _orbit_rule(potential, energy, mass) -> _OrbitRule:
+    """The Chebyshev-Lobatto rule at ``energy``: it starts at ``ORBIT_START_NODES``
+    intervals and doubles until the upper half of the cosine series of dt/dphi is
+    below ``ORBIT_TAIL_TOL`` of its largest sample.  Raises :class:`NumericalError`
+    when it has not converged at ``ORBIT_MAX_NODES`` intervals."""
+    x_lo, x_hi = turning_points(potential, energy)
+    q_terms = _gap_quotient(potential, energy, x_lo, x_hi)
+    n, rate = ORBIT_START_NODES, None
+    while True:
+        x, rate = _orbit_samples(q_terms, x_lo, x_hi, mass, n, rate)
+        series = _cosine_series(rate)
+        if np.max(np.abs(series[n // 2 :])) <= ORBIT_TAIL_TOL * np.max(rate):
+            return _OrbitRule(x_lo, x_hi, q_terms, mass, x, rate, series)
+        if n >= ORBIT_MAX_NODES:
+            raise NumericalError(
+                f"orbit rule at energy {energy} did not converge with {n} intervals"
+            )
+        n *= 2
+
+
+def orbit_period(potential: PolynomialPotential, energy: float, mass: float) -> float:
+    """Period T = 2 integral dx sqrt(m / (2 (E - V(x)))) over one libration.
+
+    Raises :class:`NumericalError` where the orbit rule does not converge.
+    """
+    _check_positive("mass", mass)
+    return _orbit_rule(potential, energy, mass).period
+
+
+def action_direct(potential: PolynomialPotential, energy: float, mass: float) -> float:
+    """Action J = 2 integral dx sqrt(2 m (E - V(x))), the loop integral of p dx.
+
+    Raises :class:`NumericalError` where the orbit rule does not converge.
+    """
+    _check_positive("mass", mass)
+    return _orbit_rule(potential, energy, mass).action
 
 
 def _harmonic_rule(x, rate, series):
@@ -272,43 +294,27 @@ def orbit_fourier(
 
     The orbit starts at the right turning point with zero velocity, so x(t) is
     even in time and every coefficient is real, X_-a = X_a.  The half orbit
-    x+ -> x- is the Chebyshev-Lobatto rule of the module docstring: the point
-    count starts at ``ORBIT_START_NODES`` intervals and doubles until the upper
-    half of the cosine series of dt/dphi is below ``ORBIT_TAIL_TOL`` of its
-    largest sample.  The period is twice the converged rule's half period.  A
-    harmonic a > n / 2 is summed on a rule doubled until n >= 2 a, so X_a
-    depends on a and the orbit only, never on ``alpha_max``.  Raises
-    :class:`NumericalError` when the rule has not converged at
-    ``ORBIT_MAX_NODES`` intervals (on (x^2 - 1)^2, at 1e-6 above the barrier;
-    1e-5 still converges), and ``ValueError`` for an ``alpha_max`` above
-    ``ORBIT_MAX_NODES / 2``.
+    x+ -> x- is the Chebyshev-Lobatto rule of the module docstring, and the
+    period is :func:`orbit_period`'s.  A harmonic a > n / 2 is summed on the
+    rule doubled until n >= 2 a, so X_a depends on a and the orbit only, never
+    on ``alpha_max``.  Raises :class:`NumericalError` where the rule does not
+    converge (on (x^2 - 1)^2, at 1e-6 above the barrier; 1e-5 still converges),
+    and ``ValueError`` for an ``alpha_max`` above ``ORBIT_MAX_NODES / 2``.
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
     if alpha_max > ORBIT_MAX_NODES // 2:
         raise ValueError(f"alpha_max must be at most {ORBIT_MAX_NODES // 2}")
     _check_positive("mass", mass)
-    x_lo, x_hi = turning_points(potential, energy)
-    q_terms = _gap_quotient(potential, energy, x_lo, x_hi)
-    mid, half = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
-    n, rate = ORBIT_START_NODES, None
-    while True:
-        x, rate = _orbit_samples(q_terms, mid, half, mass, n, rate)
-        series = _cosine_series(rate)
-        if np.max(np.abs(series[n // 2 :])) <= ORBIT_TAIL_TOL * np.max(rate):
-            break
-        if n >= ORBIT_MAX_NODES:
-            raise NumericalError(
-                f"orbit rule at energy {energy} did not converge with {n} intervals"
-            )
-        n *= 2
-    period = 2.0 * (math.pi * float(series[0]))
-    phase, weights = _harmonic_rule(x, rate, series)
+    rule = _orbit_rule(potential, energy, mass)
+    x, rate = rule.x, rule.rate
+    n = rate.size - 1
+    phase, weights = _harmonic_rule(x, rate, rule.series)
     coefficients = []
     for a in range(alpha_max + 1):
         if n < 2 * a:  # n >= 2 (a - 1) held, so one doubling resolves harmonic a
             n *= 2
-            x, rate = _orbit_samples(q_terms, mid, half, mass, n, rate)
+            x, rate = _orbit_samples(rule.q_terms, rule.x_lo, rule.x_hi, mass, n, rate)
             phase, weights = _harmonic_rule(x, rate, _cosine_series(rate))
         coefficients.append(complex(float(np.dot(weights, np.cos(a * phase)))))
     fourier = {a: coefficients[abs(a)] for a in range(-alpha_max, alpha_max + 1)}
@@ -316,9 +322,9 @@ def orbit_fourier(
         potential=potential,
         energy=energy,
         mass=mass,
-        x_minus=x_lo,
-        x_plus=x_hi,
-        period=period,
+        x_minus=rule.x_lo,
+        x_plus=rule.x_hi,
+        period=rule.period,
         alpha_max=alpha_max,
         fourier=fourier,
     )
@@ -368,12 +374,12 @@ def quantize(
 ) -> QuantizationResult:
     """Solve J(E) = n h + J0 for the energy by safeguarded Newton steps.
 
-    Each iterate takes one turning-point solve and one set of ``GAUSS_NODES``
-    samples for both J(E), the value of :func:`action_direct`, and its slope
-    dJ/dE = T(E).  The root is bracketed first, from the potential minimum
-    upward by doubling steps; a Newton step that leaves the bracket
-    (E_lo, E_hi) is replaced by its midpoint.  Converged means
-    |J - (n h + J0)| <= 1e-10 h within 200 iterates.
+    Each iterate reads one orbit rule for both J(E), the value of
+    :func:`action_direct`, and its slope dJ/dE = T(E).  The first iterate is
+    V_min + max(hbar, 1e-3); each one narrows the bracket (V_min, inf) to the
+    side of the root it lies on, and a Newton step that leaves the bracket is
+    replaced by its midpoint.  ``iterations`` counts the J(E) evaluations.
+    Converged means |J - (n h + J0)| <= 1e-10 h within 200 evaluations.
 
     ``offset`` is the undetermined additive constant J0 of the action rule,
     passed explicitly (0 for the bare rule, h/2 for the half-quantum shift).
@@ -392,34 +398,21 @@ def quantize(
         return QuantizationResult(
             n=n, energy=v_min, action=0.0, offset=offset, converged=True, iterations=0
         )
-    step = max(hbar, 1e-3)
-    energy = e_hi = v_min + step
-    action, period = _action_and_period(potential, energy, mass)
-    expansions = 0
-    while action < target:
-        step *= 2.0
-        energy = e_hi = v_min + step
-        expansions += 1
-        if expansions > 200:
-            raise NumericalError("action bracketing failed; J(E) did not reach the target")
-        action, period = _action_and_period(potential, energy, mass)
-    e_lo = v_min
     tolerance = 1e-10 * h
-    iterations = 0
-    converged = False
-    while iterations < 200:
-        energy = energy - (action - target) / period
-        if not e_lo < energy < e_hi:
-            energy = 0.5 * (e_lo + e_hi)
-        action, period = _action_and_period(potential, energy, mass)
-        iterations += 1
-        if abs(action - target) <= tolerance:
-            converged = True
+    energy, e_lo, e_hi = v_min + max(hbar, 1e-3), v_min, math.inf
+    for iterations in range(1, 201):
+        rule = _orbit_rule(potential, energy, mass)
+        action = rule.action
+        converged = abs(action - target) <= tolerance
+        if converged or iterations == 200:
             break
         if action < target:
             e_lo = energy
         else:
             e_hi = energy
+        energy -= (action - target) / rule.period
+        if not e_lo < energy < e_hi:
+            energy = 0.5 * (e_lo + e_hi)
     return QuantizationResult(
         n=n,
         energy=energy,

@@ -21,6 +21,7 @@ failure, 4 verification-suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import numbers
 import sys
@@ -158,9 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def parse_argv(argv=None) -> tuple[str, dict]:
     """The mode an argument list names and the options it sets, flags over the config file."""
-    args = vars(build_parser().parse_args(argv))
+    args = vars(_parser().parse_args(argv))
     mode, path = args.pop("mode"), args.pop("config", None)
     options = {} if path is None else load_config_file(path, mode)
     options.update((key, value) for key, value in args.items() if value is not None)

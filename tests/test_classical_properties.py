@@ -192,13 +192,8 @@ def test_orbit_harmonics_do_not_depend_on_alpha_max(potential, depth, mass, alph
 
 def _deflated_period(potential, energy, mass, nodes=200):
     """T = 2 integral dtheta sqrt(m / (2 Q)), x = mid + half sin(theta), by Gauss-Legendre,
-    with V - E = (x - x-)(x - x+) Q(x) divided out by polydiv.
-
-    ``orbit_period`` is no reference here: its E - V cancels near the turning
-    points, which costs it 1.2e-10 relative on V = x + x^2 + x^4 / 2 at 1e-3
-    above the minimum, where both orbit_fourier's period and this rule agree
-    with a 40-digit quadrature to 1e-16.
-    """
+    with V - E = (x - x-)(x - x+) Q(x) divided out by polydiv: an oracle that
+    shares only the turning points with the orbit rule."""
     x_lo, x_hi = M.turning_points(potential, energy)
     shifted = potential.coefficients.copy()
     shifted[0] -= energy
@@ -207,6 +202,22 @@ def _deflated_period(potential, energy, mass, nodes=200):
     x = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * np.sin(0.5 * math.pi * t)
     gap = np.polynomial.polynomial.polyval(x, q)
     return float(math.pi * np.dot(w, np.sqrt(mass / (2.0 * gap))))
+
+
+@SETTINGS
+@given(
+    potential=convex_potentials(),
+    depth=st.floats(1e-3, 50.0),
+    mass=st.floats(0.2, 5.0),
+    hbar=st.floats(0.1, 3.0),
+    n=st.integers(0, 5),
+)
+def test_period_and_action_read_one_orbit_rule(potential, depth, mass, hbar, n):
+    energy = potential.minimum()[1] + depth
+    period = M.orbit_period(potential, energy, mass)
+    assert period == M.orbit_fourier(potential, energy, mass, 1).period
+    result = M.quantize(potential, mass, hbar, math.pi * hbar, n)
+    assert result.action == M.action_direct(potential, result.energy, mass)
 
 
 @SETTINGS

@@ -251,6 +251,33 @@ class TestRunConfigValidation:
         assert err.startswith(f"error: {option} must be finite")
 
 
+def test_one_parser_serves_every_call_in_either_order(tmp_path, monkeypatch):
+    build = cli.build_parser
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    calls = {
+        "classical": ["classical", "--coeffs", "0,0,0.5,0,0.05", "--size", "3", "--j0", "1"],
+        "oscillator": ["oscillator", "--size", "6", "--omega", "2", "--format", "csv"],
+    }
+    written = []
+    for order in (["classical", "oscillator"], ["oscillator", "classical"]):
+        cli._parser.cache_clear()
+        builds.clear()
+        outputs = {}
+        for mode in order:
+            outputs[mode] = tmp_path / f"{mode}-{len(written)}.out"
+            assert cli.main(calls[mode] + ["--out", str(outputs[mode])]) == 0
+        assert len(builds) == 1
+        written.append({mode: path.read_bytes() for mode, path in outputs.items()})
+    cli._parser.cache_clear()
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_perturb_is_invalid_argument(capsys, value):
     assert run_cli(["verify", f"--perturb={value}"]) == 2
