@@ -432,12 +432,12 @@ def build_from_potential(
     """Diagonalize a confining polynomial potential in an auxiliary oscillator basis.
 
     The Hamiltonian H = P^2 / 2m + V(X) is assembled with the basis frequency
-    w_b = max(1, sqrt(2 c_2 / m)), diagonalized with the in-package cyclic
-    Jacobi solver (``jacobi_eigh``: numpy round-robin sweeps, one code path),
-    and the lowest ``keep`` states are retained.  Eigenvector phases
-    are fixed so that each vector's largest-magnitude component is positive,
-    which makes X real symmetric.  The returned momentum matrix is rebuilt
-    from the retained spectrum, P = i m w o X entrywise.
+    w_b = max(1, sqrt(2 c_2 / m)), diagonalized with ``jacobi_eigh`` (LAPACK's
+    eigenvectors polished by round-robin Jacobi sweeps to a relative pivot
+    test, one code path), and the lowest ``keep`` states are retained.
+    Eigenvector phases are fixed so that each vector's largest-magnitude
+    component is positive, which makes X real symmetric.  The returned momentum
+    matrix is rebuilt from the retained spectrum, P = i m w o X entrywise.
     """
     if keep < 1:
         raise ValueError("keep must be at least 1")

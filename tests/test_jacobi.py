@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,15 @@ def test_deterministic_output():
     assert np.array_equal(v1, v2)
 
 
+def test_potential_build_repeats_bitwise(constants):
+    potential = M.PolynomialPotential(SEXTIC_COEFFS)
+    first = M.build_from_potential(potential, constants, 48, 12)
+    second = M.build_from_potential(potential, constants, 48, 12)
+    assert first[0].energies.tobytes() == second[0].energies.tobytes()
+    assert first[1].x.tobytes() == second[1].x.tobytes()
+    assert first[1].p.tobytes() == second[1].p.tobytes()
+
+
 def test_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -63,10 +74,24 @@ def test_rejects_nonsquare():
         jacobi_eigh(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("entry, value", [((0, 1), np.inf), ((2, 2), np.nan)])
+def test_rejects_non_finite_entry_without_warning(entry, value):
+    # inf - inf is NaN, so the symmetry test alone cannot catch an infinite pair
+    s = np.eye(4)
+    s[entry] = s[entry[::-1]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_eigh(s)
+
+
 def test_sweep_limit_failure(monkeypatch):
+    # graded D C D, C well conditioned, D spanning ten decades: LAPACK's warm start
+    # leaves pivots above the relative test, so at least one sweep must run
     rng = np.random.default_rng(3)
-    s = rng.standard_normal((12, 12))
-    s = s + s.T
+    g = rng.standard_normal((12, 12))
+    d = np.logspace(0, -10, 12)
+    s = d[:, None] * (g @ g.T + 12 * np.eye(12)) * d[None, :]
     monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
     with pytest.raises(NumericalError):
         jacobi_eigh(s)
