@@ -36,6 +36,7 @@ from .errors import NumericalError, UnsupportedTopologyError
 from .jacobi import jacobi_eigh
 from .spectral import (
     AmplitudeTable,
+    BandedMatrix,
     FrequencyTable,
     MatrixPair,
     PhysicalConstants,
@@ -54,6 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmplitudeTable",
+    "BandedMatrix",
     "ClassicalOrbit",
     "ConditionReport",
     "ConditionRow",

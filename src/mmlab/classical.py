@@ -480,7 +480,7 @@ def correspondence_report(
         )
     freq = transition_frequencies(system)
     e_n, mass = float(system.energies[n]), system.constants.mass
-    q_ref = float(abs(pair.x[n, n - 1]))
+    q_ref = float(abs(pair.xb[n, n - 1]))
     orbit = None
     rows = []
     for a in range(1, alpha_max + 1):
@@ -489,7 +489,7 @@ def correspondence_report(
             orbit = orbit_fourier(potential, e_mean, mass, alpha_max=a)
         elif orbit is None:  # E* = E_n for every jump and X_a does not depend on alpha_max
             orbit = orbit_fourier(potential, e_n, mass, alpha_max=alpha_max)
-        q_amp = float(abs(pair.x[n, n - a]))
+        q_amp = float(abs(pair.xb[n, n - a]))
         c_amp = float(abs(orbit.fourier[a]))
         q_freq = float(freq[n, n - a])
         c_freq = a * orbit.omega

@@ -22,12 +22,12 @@ finite hermitian matrix:
   from the truncation edge.
 
 ``full_report`` bundles all of the above per state, together with off-diagonal
-and truncation-edge diagnostics of the commutator.  It reads the frequencies
-from the N levels of a frequency table and never forms XP - PX: one band
-kernel evaluates the entries of [X, P] the report needs, within the
-structural band b of X and P, at a cost of O(N b^2) plus one probe pass over
-X and P.  Each row's
-commutator diagonal is the per-state evaluator's value bit for bit.
+and truncation-edge diagnostics of the commutator.  It reads X and P from the
+diagonals a matrix pair stores, the frequencies from the N levels of a
+frequency table, and never forms XP - PX: one band kernel evaluates the
+entries of [X, P] the report needs, within the structural band b of X and P,
+at a cost of O(N b^2) plus one probe pass over the stored diagonals.  Each
+row's commutator diagonal is the per-state evaluator's value bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .errors import NumericalError
 from .spectral import (
     BAND_CUTOFF,
     AmplitudeTable,
+    BandedMatrix,
     FrequencyTable,
     MatrixPair,
     SpectralSystem,
@@ -89,13 +90,14 @@ def _product(a, b) -> np.ndarray:
 def _band(source, lo: int, hi: int, row: int, col: int) -> np.ndarray:
     """Entries source(n + row, n + col) for n = lo..hi, read from one diagonal.
 
-    Pairs outside the matrix read as zero.  An :class:`AmplitudeTable` source
-    raises ValueError for a pair inside the matrix that it did not record.  A
+    Pairs outside the matrix read as zero.  A :class:`BandedMatrix` reads its
+    stored diagonal.  An :class:`AmplitudeTable` source raises ValueError for
+    a pair inside the matrix that it did not record.  A
     :class:`FrequencyTable` reads as the frequency w(n + row, n + col) =
     e[n + row] - e[n + col] of its levels e, the scalar operation of
     ``FrequencyTable.__getitem__``.
     """
-    if isinstance(source, AmplitudeTable):
+    if isinstance(source, (BandedMatrix, AmplitudeTable)):
         return source.diagonal(lo, hi, row, col)
     if isinstance(source, FrequencyTable):
         e = source.levels
@@ -379,17 +381,17 @@ def full_report(
     alpha_max is the band beyond which all X entries drop below 1e-12 (at
     least 1).  Each formulation is one band pass over the whole window, in a
     fixed order, so identical inputs yield identical reports.  Frequencies are
-    read from the levels of ``transition_frequencies(system)``.  [X, P] is
-    never formed: one probe pass over X and P finds the structural band b,
-    beyond which both vanish exactly, and one band kernel evaluates the
-    diagonal of [X, P] over every state and its entries within min(2b, window
-    end) of the diagonal over the window, at a cost of O(N b^2).  Each row's ``commutator_diag`` is
+    read from the levels of ``transition_frequencies(system)``, X and P from
+    the pair's stored diagonals.  [X, P] is never formed: one probe pass over
+    those diagonals finds the structural band b, beyond which X and P vanish
+    exactly, and one band kernel evaluates the diagonal of [X, P] over every
+    state and its entries within min(2b, window end) of the diagonal over the
+    window, at a cost of O(N b^2).  Each row's ``commutator_diag`` is
     ``commutator_diagonal_sum(X, P, n)`` bit for bit.
     """
     if pair.size != system.size:
         raise ValueError("matrix pair and system sizes disagree")
-    x = pair.x
-    p = pair.p
+    x, p = pair.xb, pair.pb
     size = system.size
     mass = system.constants.mass
     hbar = system.constants.hbar

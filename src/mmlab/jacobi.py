@@ -19,6 +19,8 @@ in one process are bit-identical, and the eigenvalues are stable-sorted.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericalError
@@ -29,6 +31,26 @@ OFFDIAG_TOL = 1e-15
 #: normal double: below it the relative test would chase subnormal rounding).
 PIVOT_FLOOR = np.finfo(float).tiny
 MAX_SWEEPS = 100
+
+
+def relative_defect(m, mirror) -> float:
+    """Frobenius norm of (m - mirror) over max(1, Frobenius norm of m); NaN if m is not finite.
+
+    ``mirror`` holds the entries of m rearranged (a transpose, or the adjoint
+    read off stored diagonals), so the largest real or imaginary part of m
+    bounds both.  Dividing both by s = max(1, that part) first leaves the
+    ratio unchanged and keeps the norms finite for entries near the largest
+    double: the result is ||m/s - mirror/s|| / max(1/s, ||m/s||).
+    """
+    parts = np.ascontiguousarray(m).view(float)  # a complex entry reads as its two parts
+    peak = float(np.abs(parts).max()) if parts.size else 0.0
+    if not math.isfinite(peak):
+        return math.nan
+    scale = max(1.0, peak)
+    if scale > 1.0:
+        m, mirror = m / scale, mirror / scale
+    d = m - mirror
+    return math.sqrt(np.vdot(d, d).real) / max(1.0 / scale, math.sqrt(np.vdot(m, m).real))
 
 
 def _round_robin(n: int) -> list:
@@ -126,7 +148,7 @@ def jacobi_eigh(matrix):
     if not np.all(np.isfinite(s)):
         raise ValueError("matrix entries must be finite")
     n = s.shape[0]
-    if np.linalg.norm(s - s.T) > 1e-12 * max(1.0, float(np.linalg.norm(s))):
+    if relative_defect(s, s.T) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12 relative tolerance")
     a = 0.5 * (s + s.T)
     _, v = np.linalg.eigh(a)

@@ -6,21 +6,27 @@ matrices are tied entrywise through the transition frequencies,
 
     P(n, n') = i * m * w(n, n') * X(n, n'),    w(n, n') = (E_n - E_n') / hbar,
 
-which keeps P hermitian whenever X is.  A frequency table stores only the N
-scaled levels e = E / hbar.  Amplitude tables re-index X entries by (state,
-jump) pairs, the format the condition evaluators reason about: one dense
-complex array, a row per recorded state n and a column per jump alpha, whose
-slots are data exactly where 0 <= n - alpha < size.
+which keeps P hermitian whenever X is.  A matrix pair stores X and P as their
+diagonals (:class:`BandedMatrix`): one (2b + 1, N) complex array each, whose
+slot (b + d, i) holds the entry (i, i + d) and whose slots past the matrix
+edge hold zeros.  b is 1 for the oscillator, which is built, checked and
+read in O(N), and N - 1 for a potential or any dense input.  A frequency
+table stores only the N scaled levels e = E / hbar.  Amplitude tables
+re-index X entries by (state, jump) pairs, the format the condition
+evaluators reason about: one dense complex array, a row per recorded state n
+and a column per jump alpha, whose slots are data exactly where
+0 <= n - alpha < size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .jacobi import jacobi_eigh
+from .jacobi import jacobi_eigh, relative_defect
 
 #: Relative Frobenius defect accepted before a matrix stops counting as hermitian.
 HERMITICITY_TOL = 1e-12
@@ -125,89 +131,208 @@ def _square(*matrices) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def hermiticity_defect(matrix) -> float:
-    """Frobenius norm of (M - M^dagger) divided by max(1, Frobenius norm of M)."""
-    (m,) = _square(matrix)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, a defect callers reject
-        defect = float(np.linalg.norm(m - m.conj().T))
-    return defect / max(1.0, float(np.linalg.norm(m)))
+@lru_cache(maxsize=8)
+def _offsets(band: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column i + d of each slot (b + d, i) of a (2b + 1, size) array of diagonals
+    (0 where that column lies outside the matrix), and whether it lies inside.
+
+    Read-only and cached: a pair's build, checks and reads ask for the same one
+    or two shapes (a potential's auxiliary basis and its retained states).  The
+    cache is small so that it does not hold on to large dense layouts.
+    """
+    cols = np.arange(size) + np.arange(-band, band + 1)[:, None]
+    inside = (cols >= 0) & (cols < size)
+    cols = np.where(inside, cols, 0)
+    cols.setflags(write=False)
+    inside.setflags(write=False)
+    return cols, inside
+
+
+@lru_cache(maxsize=8)
+def _adjoint_slots(band: int, size: int) -> np.ndarray:
+    """Flat slot of M(i + d, i), (b - d) * size + i + d, for each slot (b + d, i) of
+    M(i, i + d), so that M^dagger(i, i + d) = conj(M(i + d, i)); slot 0, which is
+    past the edge and zero whenever b > 0, where i + d lies outside the matrix."""
+    cols, inside = _offsets(band, size)
+    rows = np.arange(2 * band, -1, -1)[:, None]
+    slots = np.where(inside, rows * size + cols, 0)
+    slots.setflags(write=False)
+    return slots
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixPair:
-    """Hermitian position and momentum matrices over the same state basis."""
+class BandedMatrix:
+    """Square complex matrix M stored as its diagonals, one (2b + 1, N) array.
 
-    x: np.ndarray
-    p: np.ndarray
+    ``diagonals[b + d, i]`` holds M(i, i + d) for -b <= d <= b; every entry
+    farther than b from the diagonal is zero.  Slots whose column i + d lies
+    outside the matrix are set to zero on construction, so they read as the
+    zeros beyond the truncation edge.
+    """
+
+    diagonals: np.ndarray
 
     def __post_init__(self):
-        x, p = _square(self.x, self.p)
-        # not (defect <= tol): a NaN or infinite entry makes the defect NaN and fails
-        if not hermiticity_defect(x) <= HERMITICITY_TOL:
-            raise ValueError("position matrix is not hermitian within tolerance")
-        if not hermiticity_defect(p) <= HERMITICITY_TOL:
-            raise ValueError("momentum matrix is not hermitian within tolerance")
-        object.__setattr__(self, "x", _frozen_array(x, complex))
-        object.__setattr__(self, "p", _frozen_array(p, complex))
+        d = np.asarray(self.diagonals, dtype=complex)
+        if d.ndim != 2 or d.shape[0] % 2 != 1 or d.shape[1] < 1:
+            raise ValueError(f"diagonals must have shape (2b + 1, N) with N >= 1, got {d.shape}")
+        _, inside = _offsets(d.shape[0] // 2, d.shape[1])
+        d = np.where(inside, d, 0j)
+        d.setflags(write=False)
+        object.__setattr__(self, "diagonals", d)
+
+    @classmethod
+    def from_dense(cls, matrix) -> BandedMatrix:
+        """Every diagonal of a square matrix, b = N - 1."""
+        (m,) = _square(matrix)
+        size = m.shape[0]
+        cols, inside = _offsets(size - 1, size)
+        return cls(np.where(inside, m[np.arange(size), cols], 0j))
+
+    @property
+    def band(self) -> int:
+        return self.diagonals.shape[0] // 2
 
     @property
     def size(self) -> int:
-        return int(self.x.shape[0])
+        return self.diagonals.shape[1]
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix, read-only."""
+        cols, inside = _offsets(self.band, self.size)
+        rows = np.broadcast_to(np.arange(self.size), cols.shape)
+        out = np.zeros((self.size, self.size), dtype=complex)
+        out[rows[inside], cols[inside]] = self.diagonals[inside]
+        out.setflags(write=False)
+        return out
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.size, self.size)
+
+    def __getitem__(self, key):
+        """M(row, col) for integer indices or index arrays, with rows inside the matrix.
+
+        A column off the matrix, or farther than b from its row, reads 0.
+        """
+        rows, cols = key
+        if isinstance(rows, int) and isinstance(cols, int):
+            offset = cols - rows
+            return self.diagonals[self.band + offset, rows] if abs(offset) <= self.band else 0j
+        offset = np.subtract(cols, rows)
+        on = np.abs(offset) <= self.band
+        return np.where(on, self.diagonals[np.where(on, offset + self.band, 0), rows], 0j)
+
+    def diagonal(self, lo: int, hi: int, row: int, col: int) -> np.ndarray:
+        """Entries M(n + row, n + col) for n = lo..hi; pairs off the matrix read 0."""
+        out = np.zeros(hi - lo + 1, dtype=complex)
+        # states n0..n1 put both labels inside the matrix
+        n0, n1 = max(lo, -row, -col), min(hi, self.size - 1 - row, self.size - 1 - col)
+        if abs(col - row) <= self.band and n1 >= n0:
+            stored = self.diagonals[self.band + col - row]
+            out[n0 - lo : n1 - lo + 1] = stored[n0 + row : n1 + row + 1]
+        return out
+
+    def structural_band(self) -> int:
+        """Largest |row - column| of a nonzero entry; 0 when M is diagonal or zero."""
+        nonzero = np.flatnonzero(np.any(self.diagonals != 0, axis=1))
+        return int(np.max(np.abs(nonzero - self.band), initial=0))
 
 
-def momentum_from_position(x, freq: FrequencyTable, mass: float) -> np.ndarray:
+def _as_banded(matrix) -> BandedMatrix:
+    """A :class:`BandedMatrix` as it is; a dense square matrix as all its diagonals."""
+    return matrix if isinstance(matrix, BandedMatrix) else BandedMatrix.from_dense(matrix)
+
+
+def hermiticity_defect(matrix) -> float:
+    """Frobenius norm of (M - M^dagger) divided by max(1, Frobenius norm of M).
+
+    Read on the stored diagonals in O(N b), scaled so that no norm overflows;
+    NaN when M has a NaN or infinite entry.
+    """
+    m = _as_banded(matrix)
+    mirror = m.diagonals.ravel()[_adjoint_slots(m.band, m.size)].conj()
+    return relative_defect(m.diagonals, mirror)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class MatrixPair:
+    """Hermitian position and momentum matrices over the same state basis.
+
+    Both are stored as their diagonals, ``xb`` and ``pb``
+    (:class:`BandedMatrix`): b = 1 for the oscillator, and all N - 1 for a
+    dense input such as a potential's.  ``x`` and ``p`` read the dense
+    matrices, built on each call.
+    """
+
+    xb: BandedMatrix
+    pb: BandedMatrix
+
+    def __init__(self, x, p):
+        xb, pb = _as_banded(x), _as_banded(p)
+        if xb.size != pb.size:
+            raise ValueError(f"position and momentum sizes disagree: {xb.size} and {pb.size}")
+        # not (defect <= tol): a NaN or infinite entry makes the defect NaN and fails
+        if not hermiticity_defect(xb) <= HERMITICITY_TOL:
+            raise ValueError("position matrix is not hermitian within tolerance")
+        if not hermiticity_defect(pb) <= HERMITICITY_TOL:
+            raise ValueError("momentum matrix is not hermitian within tolerance")
+        object.__setattr__(self, "xb", xb)
+        object.__setattr__(self, "pb", pb)
+
+    @property
+    def x(self) -> np.ndarray:
+        """Dense position matrix, read-only, built from the diagonals on each call."""
+        return self.xb.dense()
+
+    @property
+    def p(self) -> np.ndarray:
+        """Dense momentum matrix, read-only, built from the diagonals on each call."""
+        return self.pb.dense()
+
+    @property
+    def size(self) -> int:
+        return self.xb.size
+
+
+def momentum_from_position(x, freq: FrequencyTable, mass: float):
     """Entrywise momentum matrix P(n, n') = i * mass * w(n, n') * X(n, n').
 
+    Dense for a dense X, and stored on the same diagonals for a
+    :class:`BandedMatrix`; every entry is the same floating-point expression.
     Hermitian input X yields hermitian output because w is real antisymmetric.
     """
-    (xm,) = _square(x)
-    if xm.shape[0] != freq.size:
+    banded = isinstance(x, BandedMatrix)
+    xm = x.diagonals if banded else _square(x)[0]
+    if xm.shape[1] != freq.size:
         raise ValueError("position matrix and frequency table sizes disagree")
     e = freq.levels
-    return 1j * mass * (e[:, None] - e[None, :]) * xm
-
-
-def _structural_band(m) -> int:
-    """Largest |row - column| of a nonzero entry of m; 0 when m is diagonal or zero."""
-    m = np.ascontiguousarray(m)
-    if m.size == 0:
-        return 0
-    parts = 2 if np.iscomplexobj(m) else 1
-    nonzero = m.view(m.real.dtype) != 0  # a complex entry reads as its two parts
-    rows = np.arange(m.shape[0])
-    first = np.argmax(nonzero, axis=1)
-    has = nonzero[rows, first]  # argmax is 0 on a zero row
-    last = (nonzero.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)) // parts
-    first //= parts
-    return int(np.max(np.maximum(rows - first, last - rows)[has], initial=0))
+    if banded:
+        cols, _ = _offsets(x.band, x.size)
+        w = e - e[cols]  # w(i, i + d) in slot (b + d, i)
+    else:
+        w = e[:, None] - e[None, :]
+    p = 1j * mass * w * xm
+    return BandedMatrix(p) if banded else p
 
 
 def matrix_bandwidth(x, cutoff: float = BAND_CUTOFF, p=None):
     """Largest |row - column| carrying an entry of magnitude >= cutoff, on either side
     of the diagonal; 0 when no off-diagonal entry reaches the cutoff.
 
-    The scan is one pass over x for its structural band, then a walk inward
-    over its outermost diagonals.  Given ``p`` as well, it also returns the
+    x and p are dense matrices or :class:`BandedMatrix`; the scan reads the
+    stored diagonals once.  Given ``p`` as well, it also returns the
     structural band of the pair, the largest |row - column| at which x or p has
     a nonzero entry: every entry of either beyond it is an exact zero.
     """
     if not cutoff > 0.0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    xm = np.asarray(x)
-    reach = _structural_band(xm)
-    # an entry that reaches the cutoff is nonzero, so it lies within the structural band
-    band = next(
-        (
-            d
-            for d in range(reach, 0, -1)
-            if np.any(np.abs(np.diagonal(xm, d)) >= cutoff)
-            or np.any(np.abs(np.diagonal(xm, -d)) >= cutoff)
-        ),
-        0,
-    )
+    xb = _as_banded(x)
+    reached = np.flatnonzero(np.any(np.abs(xb.diagonals) >= cutoff, axis=1))
+    band = int(np.max(np.abs(reached - xb.band), initial=0))
     if p is None:
         return band
-    return band, max(reach, _structural_band(p))
+    return band, max(xb.structural_band(), _as_banded(p).structural_band())
 
 
 def _pair_columns(window: tuple[int, int], alpha_max: int) -> np.ndarray:
@@ -297,8 +422,11 @@ class AmplitudeTable:
 
 
 def to_amplitude_table(x, window: tuple[int, int], alpha_max: int) -> AmplitudeTable:
-    """Record X entries as transition amplitudes A(n, alpha) = X(n, n - alpha)."""
-    (xm,) = _square(x)
+    """Record X entries as transition amplitudes A(n, alpha) = X(n, n - alpha).
+
+    X is a dense matrix or a :class:`BandedMatrix`.
+    """
+    xm = x if isinstance(x, BandedMatrix) else _square(x)[0]
     size = xm.shape[0]
     lo, hi = window
     if not (0 <= lo <= hi <= size - 1):
@@ -313,22 +441,22 @@ def build_oscillator(constants: PhysicalConstants, size: int):
 
     E_n = (n + 1/2) hbar omega and X is real symmetric tridiagonal with
     X(n, n+1) = sqrt((n + 1) hbar / (2 m omega)).  Returns the system and the
-    matrix pair in the energy eigenbasis.
+    matrix pair in the energy eigenbasis, X and P stored as their three
+    diagonals: O(N) time and memory.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
     m, w, hb = constants.mass, constants.omega, constants.hbar
     n = np.arange(size)
     energies = (n + 0.5) * hb * w
-    x = np.zeros((size, size))
-    if size > 1:
-        off = np.sqrt((n[:-1] + 1.0) * hb / (2.0 * m * w))
-        x[n[:-1], n[:-1] + 1] = off
-        x[n[:-1] + 1, n[:-1]] = off
+    off = np.sqrt((n[:-1] + 1.0) * hb / (2.0 * m * w))
+    diagonals = np.zeros((3, size), dtype=complex)
+    diagonals[0, 1:] = off  # X(n + 1, n)
+    diagonals[2, :-1] = off  # X(n, n + 1)
+    x = BandedMatrix(diagonals)
     system = SpectralSystem(constants=constants, energies=energies, kind="oscillator")
-    freq = transition_frequencies(system)
-    p = momentum_from_position(x, freq, m)
-    return system, MatrixPair(x=x.astype(complex), p=p)
+    p = momentum_from_position(x, transition_frequencies(system), m)
+    return system, MatrixPair(x=x, p=p)
 
 
 def _descending(coefficients: np.ndarray) -> tuple[float, tuple[float, ...]]:

@@ -69,6 +69,20 @@ def test_rejects_nonsymmetric():
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_rejects_huge_antisymmetric_entries_without_warning():
+    # the norms are taken on S / max|S|, so an entry near the largest double cannot
+    # overflow them into inf > 1e-12 * inf, which passed the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not symmetric"):
+            jacobi_eigh(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+def test_accepts_huge_symmetric_entries_in_the_symmetry_test():
+    assert jacobi.relative_defect(np.full((2, 2), 1e308), np.full((2, 2), 1e308)) == 0.0
+    assert np.isnan(jacobi.relative_defect(np.array([[1.0, np.nan]]), np.zeros((1, 2))))
+
+
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         jacobi_eigh(np.zeros((2, 3)))

@@ -336,6 +336,21 @@ class TestMatrixPair:
             M.MatrixPair(**pair)
 
     @pytest.mark.filterwarnings("error")
+    def test_huge_hermitian_entries_pass_without_warning(self):
+        m = np.array([[1e308, 1.5e308 - 1e308j], [1.5e308 + 1e308j, -1e308]])
+        pair = M.MatrixPair(x=m, p=np.eye(2, dtype=complex))
+        assert pair.x.tobytes() == m.astype(complex).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which", ["x", "p"])
+    def test_huge_anti_hermitian_entries_fail_without_warning(self, which):
+        m = np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex)
+        good = np.eye(2, dtype=complex)
+        pair = {"x": m, "p": good} if which == "x" else {"x": good, "p": m}
+        with pytest.raises(ValueError, match="not hermitian"):
+            M.MatrixPair(**pair)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.inf, complex(0.0, -math.inf)])
     def test_non_finite_entries_raise_no_warning(self, bad):
         m = np.array([[1.0, bad], [np.conj(bad), 2.0]], dtype=complex)
