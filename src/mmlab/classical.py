@@ -379,7 +379,10 @@ def quantize(
     V_min + max(hbar, 1e-3); each one narrows the bracket (V_min, inf) to the
     side of the root it lies on, and a Newton step that leaves the bracket is
     replaced by its midpoint.  ``iterations`` counts the J(E) evaluations.
-    Converged means |J - (n h + J0)| <= 1e-10 h within 200 evaluations.
+    Converged means |J - (n h + J0)| <= 1e-12 h within 200 evaluations: a
+    hundredth of the 1e-10 h that the energy, once written with 15
+    significant digits, is checked against, so that rounding cannot carry a
+    converged level past that check.
 
     ``offset`` is the undetermined additive constant J0 of the action rule,
     passed explicitly (0 for the bare rule, h/2 for the half-quantum shift).
@@ -398,7 +401,7 @@ def quantize(
         return QuantizationResult(
             n=n, energy=v_min, action=0.0, offset=offset, converged=True, iterations=0
         )
-    tolerance = 1e-10 * h
+    tolerance = 1e-12 * h
     energy, e_lo, e_hi = v_min + max(hbar, 1e-3), v_min, math.inf
     for iterations in range(1, 201):
         rule = _orbit_rule(potential, energy, mass)

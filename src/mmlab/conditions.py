@@ -33,7 +33,8 @@ row's commutator diagonal is the per-state evaluator's value bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -345,9 +346,62 @@ class ConditionRow:
     residual_commutator: complex
 
 
+_ROW_FIELDS = tuple(field.name for field in fields(ConditionRow))
+
+
+class ConditionRows(Sequence):
+    """The rows of a condition report, stored as one read-only array per field.
+
+    Each :class:`ConditionRow` field is an attribute holding that field's
+    column (``n`` an integer array, ``commutator_diag`` and
+    ``residual_commutator`` complex arrays, the rest float arrays).  Indexing
+    or iterating builds the :class:`ConditionRow` objects on request; they
+    hold the column entries bit for bit.  A view equals, and hashes like, the
+    tuple of its rows.
+    """
+
+    __slots__ = _ROW_FIELDS
+
+    def __init__(self, **columns: np.ndarray) -> None:
+        for name in _ROW_FIELDS:
+            column = np.asarray(columns[name]).view()
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return ConditionRow(*(getattr(self, name)[index].item() for name in _ROW_FIELDS))
+
+    def __iter__(self):
+        columns = (getattr(self, name).tolist() for name in _ROW_FIELDS)
+        return map(ConditionRow, *columns)
+
+    def __eq__(self, other):
+        if isinstance(other, (ConditionRows, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class ConditionReport:
-    """Evaluation-window condition rows plus commutator diagnostics."""
+    """Evaluation-window condition rows plus commutator diagnostics.
+
+    ``full_report`` fills ``rows`` with a :class:`ConditionRows` view, which
+    keeps the per-state values as columns and builds :class:`ConditionRow`
+    objects only when they are read.  Any sequence of ``ConditionRow`` is
+    accepted in its place (``dataclasses.replace(report, rows=...)``) and
+    serializes to the same bytes as the view it replaces.
+    """
 
     system_kind: str
     mass: float
@@ -356,20 +410,20 @@ class ConditionReport:
     size: int
     window: tuple[int, int]
     alpha_max: int
-    rows: tuple
+    rows: Sequence[ConditionRow]
     offdiag_max: float
     trace_commutator: complex
     edge_diag: complex
 
 
-def _real_or_raise(values: np.ndarray, hbar: float, label: str) -> list[float]:
+def _real_or_raise(values: np.ndarray, hbar: float, label: str) -> np.ndarray:
     leaks = np.flatnonzero(np.abs(values.imag) > REALNESS_TOL * hbar)
     if leaks.size:
         raise NumericalError(
             f"{label} has imaginary part {values.imag[leaks[0]]:.3e} beyond "
             f"{REALNESS_TOL} * hbar"
         )
-    return values.real.tolist()
+    return values.real
 
 
 def full_report(
@@ -387,7 +441,8 @@ def full_report(
     exactly, and one band kernel evaluates the diagonal of [X, P] over every
     state and its entries within min(2b, window end) of the diagonal over the
     window, at a cost of O(N b^2).  Each row's ``commutator_diag`` is
-    ``commutator_diagonal_sum(X, P, n)`` bit for bit.
+    ``commutator_diagonal_sum(X, P, n)`` bit for bit.  The rows come back as
+    a :class:`ConditionRows` view over those per-state columns.
     """
     if pair.size != system.size:
         raise ValueError("matrix pair and system sizes disagree")
@@ -436,27 +491,24 @@ def full_report(
             _nearest_neighbor_values(x, mass, omega, 0, window_hi), hbar, "bj_alternative"
         )
     else:
-        bj = [math.nan] * (window_hi + 1)
+        bj = np.full(window_hi + 1, math.nan)
 
-    rows = []
-    for n, diag_n in zip(range(window_hi + 1), diag.tolist()):
-        rows.append(
-            ConditionRow(
-                n=n,
-                eq4_hermitian=eq4_h[n],
-                eq4_constrained=eq4_c[n],
-                eq14=eq14[n],
-                eq25=eq25[n],
-                bj_alternative=bj[n],
-                commutator_diag=diag_n,
-                residual_eq4_hermitian=eq4_h[n] - hbar,
-                residual_eq4_constrained=eq4_c[n] - hbar,
-                residual_eq14=eq14[n] - hbar,
-                residual_eq25=eq25[n] - hbar,
-                residual_bj_alternative=bj[n] - hbar,
-                residual_commutator=diag_n - 1j * hbar,
-            )
-        )
+    diag_window = diag[: window_hi + 1]
+    rows = ConditionRows(
+        n=np.arange(window_hi + 1),
+        eq4_hermitian=eq4_h,
+        eq4_constrained=eq4_c,
+        eq14=eq14,
+        eq25=eq25,
+        bj_alternative=bj,
+        commutator_diag=diag_window,
+        residual_eq4_hermitian=eq4_h - hbar,
+        residual_eq4_constrained=eq4_c - hbar,
+        residual_eq14=eq14 - hbar,
+        residual_eq25=eq25 - hbar,
+        residual_bj_alternative=bj - hbar,
+        residual_commutator=diag_window - 1j * hbar,
+    )
 
     return ConditionReport(
         system_kind=system.kind,
@@ -466,7 +518,7 @@ def full_report(
         size=size,
         window=(0, window_hi),
         alpha_max=alpha_max,
-        rows=tuple(rows),
+        rows=rows,
         offdiag_max=float(np.max(np.abs(comm[size:]), initial=0.0)),
         trace_commutator=complex(diag.sum()),
         edge_diag=complex(diag[-1]),

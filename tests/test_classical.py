@@ -284,6 +284,21 @@ class TestQuantize:
         assert not result.converged
         assert (result.iterations, result.action) == (200, 7.0)
 
+    def test_fifteen_digit_energies_stay_within_the_artifact_bound(self):
+        # a classical-orbits benchmark job (seed 28) whose level n = 8 used to stop at
+        # J - target = -1.000e-10 h, the bound its 15-digit energy is checked against
+        potential = M.PolynomialPotential((
+            0.0679624958924924, 0.3980004897400393, 0.5912711913257778,
+            0.08592017396653118, 0.17854065678125008,
+        ))
+        h = 2.0 * math.pi
+        for n in range(10):
+            result = M.quantize(potential, 1.0, 1.0, h / 2.0, n)
+            assert result.converged
+            assert abs(result.action - (n * h + h / 2.0)) <= 1e-12 * h
+            written = float(f"{result.energy:.15g}")
+            assert abs(M.action_direct(potential, written, 1.0) - (n * h + h / 2.0)) <= 1e-10 * h
+
     def test_gaps_are_uniform(self):
         energies = [M.quantize(SHO, 1.0, 1.0, 0.0, n).energy for n in range(6)]
         gaps = np.diff(energies)
