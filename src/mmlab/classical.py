@@ -7,7 +7,12 @@ half orbit x = mid + half * cos(phi), 0 <= phi <= pi, smooth up to both
 turning points.  Sampled at the Chebyshev-Lobatto points, phi_j = pi j / n,
 its cosine series gives the half period and, integrated term by term, the
 time map t(phi); the point count doubles until that series has converged
-(``ORBIT_START_NODES``, ``ORBIT_MAX_NODES``, ``ORBIT_TAIL_TOL``).  The same
+(``ORBIT_START_NODES``, ``ORBIT_MAX_NODES``, ``ORBIT_TAIL_TOL``).  Rules for
+several energies are built as one array, a row per energy: each row is
+frozen at the node count where its own series converged, so it is the rule
+its energy alone gets, and a harmonic doubling is one real FFT for the rows
+that share a node count.  ``orbit_fourier`` takes such a sequence of
+energies; one energy is the one-row case of the same builder.  The same
 samples give the action: E - V = half^2 sin^2(phi) Q, so
 J = 2 m half^2 integral_0^pi sin^2(phi) / (dt/dphi) dphi, a trapezoidal sum
 on a smooth periodic integrand and so spectrally accurate.  ``orbit_period``,
@@ -26,6 +31,7 @@ values, with no root solve per call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -168,45 +174,154 @@ def _gap_quotient(potential, energy, x_lo, x_hi) -> tuple[float, tuple[float, ..
     return terms[0], tuple(terms[1:])
 
 
-def _orbit_samples(q_terms, x_lo, x_hi, mass, n, coarse=None):
-    """Points x_j = mid + half cos(pi j / n) and dt/dphi = sqrt(m / (2 Q(x_j))), j = 0..n,
-    with mid and half the midpoint and half width of [x-, x+].
+@functools.lru_cache(maxsize=None)
+def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(phi_j) and sin(phi_j)^2 at the Lobatto angles phi_j = pi j / n, j = 0..n,
+    and the trapezoidal end factors (1/2, 1, ..., 1, 1/2), read-only; one entry per
+    node count a rule reaches (at most 11)."""
+    phi = np.arange(n + 1) * (math.pi / n)
+    ends = np.ones(n + 1)
+    ends[::n] = 0.5
+    arrays = (np.cos(phi), np.sin(phi) ** 2, ends)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
-    ``coarse`` is dt/dphi on the rule with n / 2 intervals, whose points are
-    the even ones here, so only the odd points are evaluated.
+
+def _orbit_samples(top, block, mass, n):
+    """Points x_j = mid + half cos(pi j / n) and dt/dphi = sqrt(m / (2 Q(x_j))),
+    j = 0..n, a row per half orbit of ``block``, and, when Q <= 0 somewhere, a
+    mask of the rows where Q > 0 held at every point (None when it held everywhere).
+
+    The block's ``rate``, when set, is dt/dphi on the rule with n / 2
+    intervals, whose points are the even ones here, so only the odd points are
+    evaluated.  ``top`` is the leading Horner term of Q, V's own.
     """
-    x = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * np.cos(np.arange(n + 1) * (math.pi / n))
-    rate = np.empty(n + 1)
+    x = block.mid + block.half * _lobatto(n)[0]
+    rate = np.empty_like(x)
     fresh = slice(None)
-    if coarse is not None:
-        rate[::2] = coarse
+    if block.rate is not None:
+        rate[:, ::2] = block.rate
         fresh = slice(1, None, 2)
-    q = _horner(*q_terms, x[fresh])
-    if np.any(q <= 0.0):
-        raise NumericalError("potential exceeds the energy inside the well")
-    rate[fresh] = np.sqrt(mass / (2.0 * q))
-    return x, rate
+    q = _horner(top, block.q_rest, x[:, fresh])
+    if isinstance(q, float):  # a quadratic V: Q is its leading coefficient
+        q = np.full(rate[:, fresh].shape, q)
+    ok = None
+    bad = q <= 0.0
+    if bad.any():  # the failed rows' rates are not read
+        ok = ~bad.any(axis=1)
+        q = np.where(bad, 1.0, q)
+    rate[:, fresh] = np.sqrt(mass / (2.0 * q))
+    return x, rate, ok
 
 
 def _cosine_series(rate) -> np.ndarray:
     """Coefficients a_0..a_n of rate(phi) = sum_k a_k cos(k phi) from its n + 1 Lobatto
-    samples (a DCT-I through one real FFT of the even extension)."""
-    n = rate.size - 1
-    series = np.fft.rfft(np.concatenate((rate, rate[-2:0:-1]))).real / n
-    series[0] *= 0.5
-    series[n] *= 0.5
+    samples, a row per half orbit (a DCT-I through one real FFT of the even extension)."""
+    n = rate.shape[1] - 1
+    series = np.fft.rfft(np.concatenate((rate, rate[:, -2:0:-1]), axis=1)).real / n
+    series *= _lobatto(n)[2]  # halves a_0 and a_n
     return series
 
 
-class _OrbitRule(NamedTuple):
-    """One energy's converged half orbit: the turning points, the Horner terms of
-    Q, and the Lobatto points x_j, samples rate_j of dt/dphi and their cosine series."""
+class _RuleBlock(NamedTuple):
+    """Half orbits that share one node count n, a row each: the row's position in
+    the energies asked for; the midpoint and half width of [x-, x+] as (k, 1)
+    columns; the Horner terms of Q below the leading one as a (degree, k, 1)
+    array; and the Lobatto points x_j, samples rate_j of dt/dphi and their
+    cosine series as (k, n + 1) arrays (None before the first sampling)."""
 
-    x_lo: float
-    x_hi: float
-    q_terms: tuple
+    rows: np.ndarray
+    mid: np.ndarray
+    half: np.ndarray
+    q_rest: np.ndarray
+    x: np.ndarray | None = None
+    rate: np.ndarray | None = None
+    series: np.ndarray | None = None
+
+    def take(self, keep) -> _RuleBlock:
+        """The rows selected by the boolean mask ``keep``."""
+        rows, mid, half, q_rest, *samples = self
+        return _RuleBlock(
+            rows[keep], mid[keep], half[keep], q_rest[:, keep],
+            *(None if a is None else a[keep] for a in samples),
+        )
+
+
+class _Failure:
+    """The first energy, in input order, whose orbit failed, and its exception:
+    what the one-energy calls, made in that order, would raise first."""
+
+    def __init__(self):
+        self.row, self.error = math.inf, None
+
+    def record(self, row: int, error: Exception) -> None:
+        if row < self.row:
+            self.row, self.error = row, error
+
+
+def _orbit_rules(potential, energies, mass, failure: _Failure) -> tuple[list, list]:
+    """Chebyshev-Lobatto rules at ``energies``: the turning points (x-, x+) of each
+    energy up to the first whose solve failed, and the rules as blocks of rows
+    that converged at the same node count.
+
+    Each row starts at ``ORBIT_START_NODES`` intervals and doubles until the
+    upper half of the cosine series of dt/dphi is below ``ORBIT_TAIL_TOL`` of
+    its largest sample; a converged row is frozen there, so every row is the
+    rule its energy alone would build.  Turning points and Q come energy by
+    energy.  An energy that fails (below the minimum, four turning points, Q <= 0
+    at a sample, or no convergence at ``ORBIT_MAX_NODES`` intervals) is recorded
+    in ``failure`` and has no row; no energy after a failed turning-point solve
+    is started.
+    """
+    ends, columns = [], []
+    for row, energy in enumerate(energies):
+        try:
+            x_lo, x_hi = turning_points(potential, energy)
+        except (ValueError, NumericalError) as exc:
+            failure.record(row, exc)
+            break
+        ends.append((x_lo, x_hi))
+        q_rest = _gap_quotient(potential, energy, x_lo, x_hi)[1]
+        columns.append((0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo), *q_rest))
+    if not ends:
+        return ends, []
+    columns = np.array(columns).T[:, :, None]
+    live = _RuleBlock(np.arange(len(ends)), columns[0], columns[1], columns[2:])
+    top, blocks, n = potential.v_terms[0], [], ORBIT_START_NODES
+    while True:
+        x, rate, ok = _orbit_samples(top, live, mass, n)
+        if ok is not None:
+            for row in live.rows[~ok]:
+                failure.record(row, NumericalError("potential exceeds the energy inside the well"))
+            live, x, rate = live.take(ok), x[ok], rate[ok]
+            if not live.rows.size:
+                break
+        series = _cosine_series(rate)
+        live = _RuleBlock(live.rows, live.mid, live.half, live.q_rest, x, rate, series)
+        done = np.abs(series[:, n // 2 :]).max(axis=1) <= ORBIT_TAIL_TOL * rate.max(axis=1)
+        if done.all():
+            blocks.append(live)
+            break
+        if done.any():
+            blocks.append(live.take(done))
+            live = live.take(~done)
+        if n >= ORBIT_MAX_NODES:
+            for row in live.rows:
+                failure.record(row, NumericalError(
+                    f"orbit rule at energy {energies[row]} did not converge with {n} intervals"
+                ))
+            break
+        n *= 2
+    return ends, blocks
+
+
+class _OrbitRule(NamedTuple):
+    """One energy's converged half orbit: the half width of [x-, x+], and the samples
+    rate_j of dt/dphi at its Lobatto points with their cosine series."""
+
+    half: float
     mass: float
-    x: np.ndarray
     rate: np.ndarray
     series: np.ndarray
 
@@ -220,29 +335,20 @@ class _OrbitRule(NamedTuple):
         """J = 2 m half^2 (pi / n) sum_j sin^2(phi_j) / rate_j, the trapezoidal rule
         (its end terms are zero)."""
         n = self.rate.size - 1
-        half = 0.5 * (self.x_hi - self.x_lo)
-        sin2 = np.sin(np.arange(n + 1) * (math.pi / n)) ** 2
+        half = self.half
+        sin2 = _lobatto(n)[1]
         return float(2.0 * self.mass * half * half * (math.pi / n) * np.sum(sin2 / self.rate))
 
 
 def _orbit_rule(potential, energy, mass) -> _OrbitRule:
-    """The Chebyshev-Lobatto rule at ``energy``: it starts at ``ORBIT_START_NODES``
-    intervals and doubles until the upper half of the cosine series of dt/dphi is
-    below ``ORBIT_TAIL_TOL`` of its largest sample.  Raises :class:`NumericalError`
-    when it has not converged at ``ORBIT_MAX_NODES`` intervals."""
-    x_lo, x_hi = turning_points(potential, energy)
-    q_terms = _gap_quotient(potential, energy, x_lo, x_hi)
-    n, rate = ORBIT_START_NODES, None
-    while True:
-        x, rate = _orbit_samples(q_terms, x_lo, x_hi, mass, n, rate)
-        series = _cosine_series(rate)
-        if np.max(np.abs(series[n // 2 :])) <= ORBIT_TAIL_TOL * np.max(rate):
-            return _OrbitRule(x_lo, x_hi, q_terms, mass, x, rate, series)
-        if n >= ORBIT_MAX_NODES:
-            raise NumericalError(
-                f"orbit rule at energy {energy} did not converge with {n} intervals"
-            )
-        n *= 2
+    """The rule at one energy, the one-row case of :func:`_orbit_rules`; raises what
+    that energy failed with."""
+    failure = _Failure()
+    _, blocks = _orbit_rules(potential, (energy,), mass, failure)
+    if failure.error is not None:
+        raise failure.error
+    (block,) = blocks
+    return _OrbitRule(float(block.half[0, 0]), mass, block.rate[0], block.series[0])
 
 
 def orbit_period(potential: PolynomialPotential, energy: float, mass: float) -> float:
@@ -263,8 +369,9 @@ def action_direct(potential: PolynomialPotential, energy: float, mass: float) ->
     return _orbit_rule(potential, energy, mass).action
 
 
-def _harmonic_rule(x, rate, series):
-    """Phase psi_j = w t(phi_j) and weights with X_a = sum_j weight_j cos(a psi_j).
+def _harmonic_rule(block):
+    """Phase psi_j = w t(phi_j) and weights with X_a = sum_j weight_j cos(a psi_j),
+    a row per half orbit of ``block``.
 
     With T = 2 pi a_0, psi(phi) = phi + sum_k a_k sin(k phi) / (k a_0): the
     cosine series integrated term by term, summed at the nodes by one real FFT
@@ -273,23 +380,49 @@ def _harmonic_rule(x, rate, series):
     smooth periodic integrand, of X_a = (1/pi) integral_0^pi x cos(a psi) dpsi
     with dpsi/dphi = rate / a_0.
     """
-    n = rate.size - 1
-    odd = np.zeros(2 * n)
-    odd[1:n] = series[1:n] / (np.arange(1, n) * series[0])
-    odd[n + 1 :] = -odd[n - 1 : 0 : -1]
+    x, rate, series = block.x, block.rate, block.series
+    n = rate.shape[1] - 1
+    odd = np.zeros((rate.shape[0], 2 * n))
+    odd[:, 1:n] = series[:, 1:n] / (np.arange(1, n) * series[:, :1])
+    odd[:, n + 1 :] = -odd[:, n - 1 : 0 : -1]
     phase = np.arange(n + 1) * (math.pi / n) - 0.5 * np.fft.rfft(odd).imag
-    weights = x * rate / (n * series[0])
-    weights[0] *= 0.5
-    weights[n] *= 0.5
+    weights = x * rate / (n * series[:, :1])
+    weights *= _lobatto(n)[2]
     return phase, weights
+
+
+def _harmonics(top, block, mass, alpha_max, failure: _Failure):
+    """X_0..X_alpha_max of each row of ``block`` as a (rows, alpha_max + 1) array, with
+    the block of the rows that produced them.  A harmonic a > n / 2 is summed on the
+    rules doubled until n >= 2 a, one real FFT for the block per doubling; a row
+    whose doubled rule meets Q <= 0 is recorded in ``failure`` and dropped."""
+    n = block.rate.shape[1] - 1
+    phase, weights = _harmonic_rule(block)
+    harmonics = np.empty((block.rows.size, alpha_max + 1))
+    for a in range(alpha_max + 1):
+        if n < 2 * a:  # n >= 2 (a - 1) held, so one doubling resolves harmonic a
+            n *= 2
+            x, rate, ok = _orbit_samples(top, block, mass, n)
+            if ok is not None:
+                for row in block.rows[~ok]:
+                    failure.record(row, NumericalError("potential exceeds the energy inside the well"))
+                block, x, rate, harmonics = block.take(ok), x[ok], rate[ok], harmonics[ok]
+                if not block.rows.size:
+                    break
+            block = block._replace(x=x, rate=rate, series=_cosine_series(rate))
+            phase, weights = _harmonic_rule(block)
+        cosines = np.cos(a * phase)
+        for i, row in enumerate(weights):  # one dot per row: a batched sum rounds differently
+            harmonics[i, a] = np.dot(row, cosines[i])
+    return harmonics, block
 
 
 def orbit_fourier(
     potential: PolynomialPotential,
-    energy: float,
+    energy,
     mass: float,
     alpha_max: int,
-) -> ClassicalOrbit:
+):
     """Fourier coefficients X_a = (2/T) integral x(t) cos(a w t) dt over the half orbit.
 
     The orbit starts at the right turning point with zero velocity, so x(t) is
@@ -300,34 +433,48 @@ def orbit_fourier(
     on ``alpha_max``.  Raises :class:`NumericalError` where the rule does not
     converge (on (x^2 - 1)^2, at 1e-6 above the barrier; 1e-5 still converges),
     and ``ValueError`` for an ``alpha_max`` above ``ORBIT_MAX_NODES / 2``.
+
+    ``energy`` is a float, or a nonempty 1-D sequence of them for a tuple of
+    orbits, each bit-identical to the call at its energy alone: the rules are
+    built together, a row per energy, and each row keeps its own node count.
+    A failing energy raises what the calls in input order would raise first.
     """
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
     if alpha_max > ORBIT_MAX_NODES // 2:
         raise ValueError(f"alpha_max must be at most {ORBIT_MAX_NODES // 2}")
     _check_positive("mass", mass)
-    rule = _orbit_rule(potential, energy, mass)
-    x, rate = rule.x, rule.rate
-    n = rate.size - 1
-    phase, weights = _harmonic_rule(x, rate, rule.series)
-    coefficients = []
-    for a in range(alpha_max + 1):
-        if n < 2 * a:  # n >= 2 (a - 1) held, so one doubling resolves harmonic a
-            n *= 2
-            x, rate = _orbit_samples(rule.q_terms, rule.x_lo, rule.x_hi, mass, n, rate)
-            phase, weights = _harmonic_rule(x, rate, _cosine_series(rate))
-        coefficients.append(complex(float(np.dot(weights, np.cos(a * phase)))))
-    fourier = {a: coefficients[abs(a)] for a in range(-alpha_max, alpha_max + 1)}
-    return ClassicalOrbit(
-        potential=potential,
-        energy=energy,
-        mass=mass,
-        x_minus=rule.x_lo,
-        x_plus=rule.x_hi,
-        period=rule.period,
-        alpha_max=alpha_max,
-        fourier=fourier,
-    )
+    single = np.ndim(energy) == 0
+    if not single and (np.ndim(energy) != 1 or len(energy) == 0):
+        raise ValueError("energy must be a float or a nonempty 1-D sequence of floats")
+    energies = (energy,) if single else tuple(map(float, energy))
+    failure, found = _Failure(), {}
+    top = potential.v_terms[0]
+    ends, blocks = _orbit_rules(potential, energies, mass, failure)
+    for block in blocks:
+        periods = {
+            row: 2.0 * (math.pi * a_0)
+            for row, a_0 in zip(block.rows.tolist(), block.series[:, 0].tolist())
+        }
+        harmonics, block = _harmonics(top, block, mass, alpha_max, failure)
+        for row, coefficients in zip(block.rows.tolist(), harmonics.tolist()):
+            found[row] = (periods[row], coefficients)
+    orbits = []
+    for row, energy in enumerate(energies):
+        if row == failure.row:
+            raise failure.error
+        (x_lo, x_hi), (period, coefficients) = ends[row], found[row]
+        orbits.append(ClassicalOrbit(
+            potential=potential,
+            energy=energy,
+            mass=mass,
+            x_minus=x_lo,
+            x_plus=x_hi,
+            period=period,
+            alpha_max=alpha_max,
+            fourier={a: complex(coefficients[abs(a)]) for a in range(-alpha_max, alpha_max + 1)},
+        ))
+    return orbits[0] if single else tuple(orbits)
 
 
 def action_from_fourier(orbit: ClassicalOrbit) -> float:
@@ -484,14 +631,14 @@ def correspondence_report(
     freq = transition_frequencies(system)
     e_n, mass = float(system.energies[n]), system.constants.mass
     q_ref = float(abs(pair.xb[n, n - 1]))
-    orbit = None
+    # X_a does not depend on alpha_max, so one call serves every jump
+    if energy_rule == "mean":
+        means = [0.5 * (e_n + float(system.energies[n - a])) for a in range(1, alpha_max + 1)]
+        orbits = orbit_fourier(potential, means, mass, alpha_max=alpha_max)
+    else:
+        orbits = (orbit_fourier(potential, e_n, mass, alpha_max=alpha_max),) * alpha_max
     rows = []
-    for a in range(1, alpha_max + 1):
-        if energy_rule == "mean":
-            e_mean = 0.5 * (e_n + float(system.energies[n - a]))
-            orbit = orbit_fourier(potential, e_mean, mass, alpha_max=a)
-        elif orbit is None:  # E* = E_n for every jump and X_a does not depend on alpha_max
-            orbit = orbit_fourier(potential, e_n, mass, alpha_max=alpha_max)
+    for a, orbit in enumerate(orbits, start=1):
         q_amp = float(abs(pair.xb[n, n - a]))
         c_amp = float(abs(orbit.fourier[a]))
         q_freq = float(freq[n, n - a])

@@ -235,7 +235,7 @@ def _run_classical(values: dict) -> None:
     potential = PolynomialPotential(values["coeffs"])
     alpha_max = values["alpha_max"] if values["alpha_max"] is not None else 8
     _, v_min = potential.minimum()
-    levels = []
+    results = []
     for n in range(values["size"]):
         result = quantize(potential, values["m"], values["hbar"], values["j0"], n)
         if not result.converged:
@@ -244,11 +244,11 @@ def _run_classical(values: dict) -> None:
                 f"quantization of level n = {n} did not converge: "
                 f"|J - target| = {abs(result.action - target):.3e}"
             )
-        if result.energy > v_min:
-            orbit = orbit_fourier(potential, result.energy, values["m"], alpha_max)
-        else:
-            orbit = None
-        levels.append((result, orbit))
+        results.append(result)
+    # one call for every level that moves; a level at the minimum has no orbit
+    moving = [result.energy for result in results if result.energy > v_min]
+    orbits = iter(orbit_fourier(potential, moving, values["m"], alpha_max) if moving else ())
+    levels = [(result, next(orbits) if result.energy > v_min else None) for result in results]
     _emit(values, serialize_classical(levels, alpha_max, values["format"]))
 
 

@@ -10,12 +10,12 @@ which keeps P hermitian whenever X is.  A matrix pair stores X and P as their
 diagonals (:class:`BandedMatrix`): one (2b + 1, N) complex array each, whose
 slot (b + d, i) holds the entry (i, i + d) and whose slots past the matrix
 edge hold zeros.  b is 1 for the oscillator, which is built, checked and
-read in O(N), and N - 1 for a potential or any dense input.  A frequency
-table stores only the N scaled levels e = E / hbar.  Amplitude tables
-re-index X entries by (state, jump) pairs, the format the condition
-evaluators reason about: one dense complex array, a row per recorded state n
-and a column per jump alpha, whose slots are data exactly where
-0 <= n - alpha < size.
+read in O(N); a dense input keeps the diagonals out to its farthest entry
+that is not +0, all N - 1 for a potential.  A frequency table stores only
+the N scaled levels e = E / hbar.  Amplitude tables re-index X entries by
+(state, jump) pairs, the format the condition evaluators reason about: one
+dense complex array, a row per recorded state n and a column per jump
+alpha, whose slots are data exactly where 0 <= n - alpha < size.
 """
 
 from __future__ import annotations
@@ -182,11 +182,11 @@ class BandedMatrix:
         object.__setattr__(self, "diagonals", d)
 
     @classmethod
-    def from_dense(cls, matrix) -> BandedMatrix:
-        """Every diagonal of a square matrix, b = N - 1."""
+    def from_dense(cls, matrix, band: int | None = None) -> BandedMatrix:
+        """Diagonals -b..b of a square matrix; every diagonal, b = N - 1, by default."""
         (m,) = _square(matrix)
         size = m.shape[0]
-        cols, inside = _offsets(size - 1, size)
+        cols, inside = _offsets(size - 1 if band is None else band, size)
         return cls(np.where(inside, m[np.arange(size), cols], 0j))
 
     @property
@@ -244,6 +244,17 @@ def _as_banded(matrix) -> BandedMatrix:
     return matrix if isinstance(matrix, BandedMatrix) else BandedMatrix.from_dense(matrix)
 
 
+def _trimmed(matrix) -> BandedMatrix:
+    """A :class:`BandedMatrix` as it is; a dense square matrix as its diagonals out to
+    the farthest entry from the diagonal that is not +0, so that a tridiagonal input
+    stores three and its dense view comes back bit for bit, signed zeros included."""
+    if isinstance(matrix, BandedMatrix):
+        return matrix
+    (m,) = _square(matrix)
+    rows, cols = np.nonzero((m != 0) | np.signbit(m.real) | np.signbit(m.imag))
+    return BandedMatrix.from_dense(m, int(np.max(np.abs(cols - rows), initial=0)))
+
+
 def hermiticity_defect(matrix) -> float:
     """Frobenius norm of (M - M^dagger) divided by max(1, Frobenius norm of M).
 
@@ -260,16 +271,18 @@ class MatrixPair:
     """Hermitian position and momentum matrices over the same state basis.
 
     Both are stored as their diagonals, ``xb`` and ``pb``
-    (:class:`BandedMatrix`): b = 1 for the oscillator, and all N - 1 for a
-    dense input such as a potential's.  ``x`` and ``p`` read the dense
-    matrices, built on each call.
+    (:class:`BandedMatrix`): a banded input as it is (b = 1 for the
+    oscillator), a dense input out to its farthest entry from the diagonal
+    that is not +0 (N - 1 for a potential's X, 1 for the dense views of the
+    oscillator's pair).  ``x`` and ``p`` read the dense matrices, built on
+    each call.
     """
 
     xb: BandedMatrix
     pb: BandedMatrix
 
     def __init__(self, x, p):
-        xb, pb = _as_banded(x), _as_banded(p)
+        xb, pb = _trimmed(x), _trimmed(p)
         if xb.size != pb.size:
             raise ValueError(f"position and momentum sizes disagree: {xb.size} and {pb.size}")
         # not (defect <= tol): a NaN or infinite entry makes the defect NaN and fails

@@ -82,13 +82,23 @@ def test_dense_views_round_trip_bitwise(case):
     again = M.MatrixPair(x=pair.x, p=pair.p)
     assert again.x.tobytes() == pair.x.tobytes()
     assert again.p.tobytes() == pair.p.tobytes()
-    # the dense pair keeps every diagonal; the banded ones sit in its middle rows
-    b, top = x.band, pair.size - 1
-    reach = min(b, top)
-    keep, stored = slice(top - reach, top + reach + 1), slice(b - reach, b + reach + 1)
-    assert again.xb.diagonals[keep].tobytes() == pair.xb.diagonals[stored].tobytes()
-    assert again.pb.diagonals[keep].tobytes() == pair.pb.diagonals[stored].tobytes()
+    # the dense pair stores each matrix out to its farthest entry that is not +0: the
+    # middle rows of the banded pair's diagonals
+    for trimmed, banded in ((again.xb, pair.xb), (again.pb, pair.pb)):
+        b, stored = trimmed.band, banded.band
+        assert b <= min(stored, pair.size - 1)
+        assert trimmed.diagonals.tobytes() == banded.diagonals[stored - b : stored + b + 1].tobytes()
     assert np.array_equal(pair.p, M.momentum_from_position(pair.x, freq, mass))
+
+
+def test_dense_oscillator_pair_is_stored_as_three_diagonals():
+    system, banded = M.build_oscillator(CONSTANTS["non-unit"], 4096)
+    dense = M.MatrixPair(x=banded.x, p=banded.p)
+    assert dense.xb.diagonals.shape == dense.pb.diagonals.shape == (3, 4096)
+    assert dense.xb.diagonals.tobytes() == banded.xb.diagonals.tobytes()
+    assert dense.pb.diagonals.tobytes() == banded.pb.diagonals.tobytes()
+    for fmt in ("json", "csv"):
+        assert _report_bytes(system, dense, None, fmt) == _report_bytes(system, banded, None, fmt)
 
 
 def test_oscillator_4096_is_stored_in_linear_memory():

@@ -339,13 +339,16 @@ def test_orbit_integrals_reject_non_physical_mass(evaluate, mass):
         evaluate(mass)
 
 
-def _ref_state_rows(pair, system, potential, n, alpha_max):
-    # the energy_rule="state" loop that integrated one orbit per jump, all at E_n
+def _ref_rows(pair, system, potential, n, alpha_max, energy_rule):
+    # the loop that integrated one orbit per jump a, with alpha_max = a, at E_n for the
+    # state rule and at (E_n + E_(n-a)) / 2 for the mean rule
     levels = M.transition_frequencies(system).levels
     w = levels[:, None] - levels[None, :]
     rows = []
     for a in range(1, alpha_max + 1):
         e_star = float(system.energies[n])
+        if energy_rule == "mean":
+            e_star = 0.5 * (e_star + float(system.energies[n - a]))
         orbit = M.orbit_fourier(potential, e_star, system.constants.mass, alpha_max=a)
         q_amp = float(abs(pair.x[n, n - a]))
         c_amp = float(abs(orbit.fourier[a]))
@@ -421,22 +424,30 @@ class TestCorrespondence:
                         assert row.amp_rel_dev == _rel_dev(row.quantum_amp, row.classical_amp)
         assert noisy  # nonzero classical noise, which the plain ratio read as 1
 
-    @pytest.mark.parametrize("case", ["sho", "quartic", "lopsided"])
-    def test_state_rule_rows_equal_per_jump_orbits_bitwise(self, request, constants, case):
+    @pytest.mark.parametrize("rule", ["state", "mean"])
+    @pytest.mark.parametrize("case", ["sho", "osc32", "quartic", "lopsided"])
+    def test_rows_equal_per_jump_orbits_bitwise(self, request, constants, case, rule):
+        # one orbit_fourier call per report, for every jump's energy at the report's
+        # alpha_max, against one call per jump at alpha_max = a
+        step = 3
         if case == "sho":
             (system, pair), potential = M.build_oscillator(constants, 12), SHO
+        elif case == "osc32":
+            odd = M.PhysicalConstants(mass=1.3, hbar=0.7, omega=1.7)
+            system, pair = M.build_oscillator(odd, 32)
+            potential, step = M.PolynomialPotential((0.0, 0.0, 0.5 * 1.3 * 1.7**2)), 1
         elif case == "quartic":
             (system, pair), potential = request.getfixturevalue("quartic40"), PERTURBED
         else:
             potential = LOPSIDED
             system, pair = M.build_from_potential(potential, constants, 48, 12)
         alpha_max = 4
-        for n in range(alpha_max, system.size - alpha_max, 3):
-            report = M.correspondence_report(pair, system, potential, n, alpha_max, "state")
-            expected = _ref_state_rows(pair, system, potential, n, alpha_max)
+        for n in range(alpha_max, system.size - alpha_max, step):
+            report = M.correspondence_report(pair, system, potential, n, alpha_max, rule)
+            expected = _ref_rows(pair, system, potential, n, alpha_max, rule)
             assert repr(report.rows) == repr(expected)
 
-    def test_state_rule_integrates_one_orbit_per_report(self, constants, monkeypatch):
+    def test_one_orbit_call_per_report(self, constants, monkeypatch):
         system, pair = M.build_oscillator(constants, 12)
         calls = []
 
@@ -449,7 +460,7 @@ class TestCorrespondence:
         assert calls == [4]
         calls.clear()
         M.correspondence_report(pair, system, SHO, 5, 4, "mean")
-        assert calls == [1, 2, 3, 4]
+        assert calls == [4]  # one call for the four two-state mean energies
 
     def test_window_violation(self, constants):
         system, pair = M.build_oscillator(constants, 8)

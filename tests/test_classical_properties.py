@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 import mmlab as M
+from mmlab import classical
 from mmlab.spectral import _descending, _horner
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -240,3 +241,101 @@ def test_newton_quantize_converges_in_few_iterations(potential, mass, hbar, half
         assert abs(result.action - (n * h + offset)) <= 1e-10 * h
         assert 1 <= result.iterations <= 8
     assert all(b > a for a, b in zip(energies, energies[1:]))
+
+
+def _orbit_key(orbit):
+    """Every number of an orbit, as its repr: equal keys are bitwise-equal orbits."""
+    fourier = tuple(repr(orbit.fourier[a]) for a in range(-orbit.alpha_max, orbit.alpha_max + 1))
+    return repr((orbit.energy, orbit.x_minus, orbit.x_plus, orbit.period, orbit.alpha_max)), fourier
+
+
+def _outcome(call):
+    """What ``call`` returns, as orbit keys, or the class and message of what it raises."""
+    try:
+        result = call()
+    except (ValueError, M.NumericalError) as exc:
+        return type(exc), str(exc)
+    return [_orbit_key(orbit) for orbit in result]
+
+
+def _assert_batch_is_scalar_loop(potential, energies, mass, alpha_max):
+    batch = _outcome(lambda: M.orbit_fourier(potential, energies, mass, alpha_max))
+    loop = _outcome(lambda: [M.orbit_fourier(potential, e, mass, alpha_max) for e in energies])
+    assert batch == loop
+    return batch
+
+
+@SETTINGS
+@given(
+    potential=st.one_of(convex_potentials(), double_wells()),
+    depths=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=5),
+    mass=st.floats(0.2, 5.0),
+    alpha_max=st.sampled_from([1, 3, 12, 40]),
+)
+def test_orbit_fourier_on_energies_equals_the_scalar_calls(potential, depths, mass, alpha_max):
+    # above every critical value: one minimum's well, or a double well above its barrier
+    top = max(v for _, v in potential.critical_points)
+    _assert_batch_is_scalar_loop(potential, [top + d for d in depths], mass, alpha_max)
+
+
+DOUBLE_WELL = M.PolynomialPotential((1.0, 0.0, -2.0, 0.0, 1.0))  # (x^2 - 1)^2, barrier V(0) = 1
+
+
+@pytest.mark.parametrize("alpha_max", [4, 40])
+def test_rows_keep_their_own_node_count(alpha_max):
+    # 1e-3 above the barrier the rule needs 4096 intervals, at E = 3 it needs 128; 40
+    # harmonics double every row's rule past its converged count
+    energies = [1.001, 3.0, 1.5, 1.001]
+    orbits = _assert_batch_is_scalar_loop(DOUBLE_WELL, energies, 1.3, alpha_max)
+    assert len(orbits) == 4 and orbits[0] == orbits[3]
+
+
+@pytest.mark.parametrize(
+    "energies, error, message",
+    [
+        ([1.5, 0.0], ValueError, "energy 0.0 does not exceed the potential minimum 0.0"),
+        ([1.5, 0.5, 3.0], M.UnsupportedTopologyError, "4 turning points at energy 0.5;"),
+        ([1.5, 1.000001], M.NumericalError, "orbit rule at energy 1.000001 did not converge"),
+        # the first failing energy in input order wins, whichever stage fails it
+        ([1.000001, -1.0], M.NumericalError, "orbit rule at energy 1.000001 did not converge"),
+        ([2.0, -1.0, 1.000001], ValueError, "energy -1.0 does not exceed"),
+    ],
+)
+def test_failing_energies_raise_what_the_scalar_loop_raises(energies, error, message):
+    kind, text = _assert_batch_is_scalar_loop(DOUBLE_WELL, energies, 1.0, 3)
+    assert kind is error and text.startswith(message)
+
+
+def test_a_row_with_a_negative_gap_quotient_fails_in_input_order(monkeypatch):
+    # Q <= 0 at a sample fails one row of the batch while the others go on
+    true_quotient = classical._gap_quotient
+
+    def dented(potential, energy, x_lo, x_hi):
+        top, rest = true_quotient(potential, energy, x_lo, x_hi)
+        return top, rest[:-1] + (-1.0,) if energy == 2.0 else rest
+
+    monkeypatch.setattr(classical, "_gap_quotient", dented)
+    for energies, error in [
+        ([3.0, 2.0, 1.001], M.NumericalError),
+        ([2.0, -1.0], M.NumericalError),
+        ([-1.0, 2.0], ValueError),
+    ]:
+        kind, text = _assert_batch_is_scalar_loop(DOUBLE_WELL, energies, 1.0, 3)
+        assert kind is error
+    assert text.startswith("energy -1.0 does not exceed")
+    assert _outcome(lambda: M.orbit_fourier(DOUBLE_WELL, [3.0, 2.0], 1.0, 3)) == (
+        M.NumericalError, "potential exceeds the energy inside the well"
+    )
+
+
+@pytest.mark.parametrize("energies", [[], [[1.5, 2.0]], np.ones((2, 2))])
+def test_energies_must_be_a_nonempty_1d_sequence(energies):
+    with pytest.raises(ValueError, match="nonempty 1-D sequence"):
+        M.orbit_fourier(DOUBLE_WELL, energies, 1.0, 3)
+
+
+def test_a_float_gives_an_orbit_and_a_sequence_a_tuple():
+    orbit = M.orbit_fourier(DOUBLE_WELL, 2.0, 1.0, 3)
+    assert isinstance(orbit, M.ClassicalOrbit)
+    (same,) = M.orbit_fourier(DOUBLE_WELL, np.array([2.0]), 1.0, 3)
+    assert _orbit_key(same) == _orbit_key(orbit)

@@ -6,6 +6,7 @@ and diagonalizes it with a cold longdouble round-robin Jacobi run to a 1e-19
 relative pivot test.  Only the sweep schedule is shared with ``jacobi``.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -25,8 +26,10 @@ SEXTIC_COEFFS = (0.0, 0.1, 0.5, -0.05, 0.1, 0.01, 0.005)
 PURE_QUARTIC_COEFFS = (0.0, 0.0, 0.0, 0.0, 0.25)
 
 #: Largest retained |X - X_ref| accepted, also used for the energies.  Measured: X within
-#: 5.9e-13 and E within 7.0e-13 on the sextic at basis 160, both within 3.4e-14 at basis
-#: 32 and 48; cold Jacobi under an absolute stop test missed X by up to 2.8e-10.
+#: 5.9e-13 and E within 7.0e-13 on the sextic at basis 160, X within 1.5e-13 and 1.3e-13
+#: and E within 1.1e-13 and 1.4e-13 on the quartic and the pure quartic there, all within
+#: 3.4e-14 at basis 32 and 48; cold Jacobi under an absolute stop test missed X by up to
+#: 2.8e-10.
 X_TOL = 2e-12
 
 
@@ -92,8 +95,9 @@ def assert_near_reference(coeffs, basis_size, reference):
 
 
 @pytest.fixture(scope="module")
-def sextic160_reference():
-    return reference_build(SEXTIC_COEFFS, 160, 40)
+def reference160():
+    """The basis-160, keep-40 reference build of a potential, made once per module."""
+    return functools.cache(lambda coeffs: reference_build(coeffs, 160, 40))
 
 
 @pytest.mark.parametrize("basis_size", [32, 48])
@@ -106,13 +110,18 @@ def test_retained_x_matches_reference(coeffs, basis_size):
     assert_near_reference(coeffs, basis_size, reference_build(coeffs, basis_size, basis_size // 4))
 
 
-def test_sextic_basis160_matches_reference(sextic160_reference):
-    assert_near_reference(SEXTIC_COEFFS, 160, sextic160_reference)
+@pytest.mark.parametrize(
+    "coeffs",
+    [QUARTIC_COEFFS, SEXTIC_COEFFS, PURE_QUARTIC_COEFFS],
+    ids=["quartic", "sextic", "pure-quartic"],
+)
+def test_basis160_matches_reference(reference160, coeffs):
+    assert_near_reference(coeffs, 160, reference160(coeffs))
 
 
-def test_sextic_keep40_default_window_is_the_references(constants, sextic160_reference):
+def test_sextic_keep40_default_window_is_the_references(constants, reference160):
     system, pair = M.build_from_potential(M.PolynomialPotential(SEXTIC_COEFFS), constants, 160, 40)
-    energies, x_ref = sextic160_reference
+    energies, x_ref = reference160(SEXTIC_COEFFS)
     ref_system = M.SpectralSystem(constants, energies.astype(float), kind="potential")
     x = x_ref.astype(float)
     p = spectral.momentum_from_position(x, M.transition_frequencies(ref_system), 1.0)
