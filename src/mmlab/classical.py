@@ -70,6 +70,7 @@ def turning_points(potential: PolynomialPotential, energy: float) -> tuple[float
     solutions (counted from the critical values) are allowed: an above-barrier
     double well is fine, a below-barrier one (four turning points) is rejected.
     """
+    energy = float(energy)  # a numpy scalar would make the sign tests numpy bools
     x_min, v_min = potential.minimum()
     if not energy > v_min:
         raise ValueError(f"energy {energy} does not exceed the potential minimum {v_min}")
@@ -357,7 +358,7 @@ def orbit_period(potential: PolynomialPotential, energy: float, mass: float) -> 
     Raises :class:`NumericalError` where the orbit rule does not converge.
     """
     _check_positive("mass", mass)
-    return _orbit_rule(potential, energy, mass).period
+    return _orbit_rule(potential, float(energy), mass).period
 
 
 def action_direct(potential: PolynomialPotential, energy: float, mass: float) -> float:
@@ -366,7 +367,7 @@ def action_direct(potential: PolynomialPotential, energy: float, mass: float) ->
     Raises :class:`NumericalError` where the orbit rule does not converge.
     """
     _check_positive("mass", mass)
-    return _orbit_rule(potential, energy, mass).action
+    return _orbit_rule(potential, float(energy), mass).action
 
 
 def _harmonic_rule(block):
@@ -447,7 +448,7 @@ def orbit_fourier(
     single = np.ndim(energy) == 0
     if not single and (np.ndim(energy) != 1 or len(energy) == 0):
         raise ValueError("energy must be a float or a nonempty 1-D sequence of floats")
-    energies = (energy,) if single else tuple(map(float, energy))
+    energies = (float(energy),) if single else tuple(map(float, energy))
     failure, found = _Failure(), {}
     top = potential.v_terms[0]
     ends, blocks = _orbit_rules(potential, energies, mass, failure)

@@ -574,8 +574,8 @@ def build_from_potential(
 
     The Hamiltonian H = P^2 / 2m + V(X) is assembled with the basis frequency
     w_b = max(1, sqrt(2 c_2 / m)), diagonalized with ``jacobi_eigh`` (LAPACK's
-    eigenvectors polished by round-robin Jacobi sweeps to a relative pivot
-    test, one code path), and the lowest ``keep`` states are retained.
+    eigenvectors corrected by one Ogita-Aishima refinement step of matrix
+    products, one code path), and the lowest ``keep`` states are retained.
     Eigenvector phases are fixed so that each vector's largest-magnitude
     component is positive, which makes X real symmetric.  The returned momentum
     matrix is rebuilt from the retained spectrum, P = i m w o X entrywise.

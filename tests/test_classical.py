@@ -339,6 +339,21 @@ def test_orbit_integrals_reject_non_physical_mass(evaluate, mass):
         evaluate(mass)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda energy: M.turning_points(SHO, energy),
+        lambda energy: M.orbit_period(SHO, energy, 1.0),
+        lambda energy: M.action_direct(SHO, energy, 1.0),
+        lambda energy: M.orbit_fourier(SHO, energy, 1.0, 3),
+    ],
+    ids=["turning_points", "orbit_period", "action_direct", "orbit_fourier"],
+)
+def test_numpy_float_energy_equals_the_python_float(evaluate):
+    # the turning-point sign test once subtracted two numpy bools for a numpy energy
+    assert evaluate(np.float64(2.0)) == evaluate(2.0)
+
+
 def _ref_rows(pair, system, potential, n, alpha_max, energy_rule):
     # the loop that integrated one orbit per jump a, with alpha_max = a, at E_n for the
     # state rule and at (E_n + E_(n-a)) / 2 for the mean rule

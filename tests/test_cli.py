@@ -51,6 +51,13 @@ class TestExitCodes:
         assert result.stderr == "error: transition frequencies must be finite\n"
         assert result.stdout == ""
 
+    def test_start_up_imports_neither_scipy_nor_numba(self):
+        # importing scipy.linalg alone takes about 0.28 s, more than a whole CLI start
+        code = "import mmlab.cli, sys; print(sorted({'scipy', 'numba'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_write_failure_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"
         code = run_cli(["oscillator", "--size", "8", "--out", str(out)])

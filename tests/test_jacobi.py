@@ -99,16 +99,33 @@ def test_rejects_non_finite_entry_without_warning(entry, value):
             jacobi_eigh(s)
 
 
-def test_sweep_limit_failure(monkeypatch):
-    # graded D C D, C well conditioned, D spanning ten decades: LAPACK's warm start
-    # leaves pivots above the relative test, so at least one sweep must run
-    rng = np.random.default_rng(3)
-    g = rng.standard_normal((12, 12))
-    d = np.logspace(0, -10, 12)
-    s = d[:, None] * (g @ g.T + 12 * np.eye(12)) * d[None, :]
-    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
-    with pytest.raises(NumericalError):
-        jacobi_eigh(s)
+@pytest.mark.parametrize(
+    "s",
+    [
+        # a gap of 4.2e-15 under the refined delta: without the sqrt(eps) floor the step
+        # divided by it and left ||V^T V - I|| at 6.2e-6 with OpenBLAS
+        [[0.125730221, -2.11e-15], [-2.11e-15, 0.125730221]],
+        # a gap of 7.7e-7 over the floor: an unsymmetrized S left ||V^T V - I|| at 3.0e-12
+        # with OpenBLAS, 1.6e-11 elsewhere, against 2.5e-16 symmetrized
+        [[0.125730802, -2.067e-7], [-2.067e-7, 0.125730149]],
+    ],
+    ids=["gap-4e-15", "gap-8e-7"],
+)
+def test_near_degenerate_two_by_two_stays_orthonormal(s):
+    s = np.array(s)
+    w, v = jacobi_eigh(s)
+    # tighter than the suite's 1e-11, so that the unsymmetrized S fails here as well
+    assert np.linalg.norm(v.T @ v - np.eye(2)) <= 1e-13
+    assert np.max(np.linalg.norm(s @ v - v * w[None, :], axis=0)) <= 1e-11 * np.linalg.norm(s)
+
+
+@pytest.mark.parametrize("s", [np.full((2, 2), 1e308), np.full((3, 3), 6e307)], ids=["2x2", "3x3"])
+def test_non_finite_refinement_raises_without_warning(s):
+    # finite, symmetric input whose top eigenvalue (2e308, 1.8e308) overflows in V^T H V
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite"):
+            jacobi_eigh(s)
 
 
 def test_zero_and_single_entry():
@@ -120,7 +137,6 @@ def test_zero_and_single_entry():
 
 @pytest.mark.parametrize("n", [2, 3, 7, 48, 161])
 def test_matches_lapack_on_random_symmetric(n):
-    # odd sizes give one index a bye in every round-robin round
     rng = np.random.default_rng(100 + n)
     s = rng.standard_normal((n, n))
     s = s + s.T

@@ -3,7 +3,7 @@
 The reference assembles the same truncated Hamiltonian in ``np.longdouble``,
 with the momentum taken from the exact oscillator frequencies (n - n') w_b,
 and diagonalizes it with a cold longdouble round-robin Jacobi run to a 1e-19
-relative pivot test.  Only the sweep schedule is shared with ``jacobi``.
+relative pivot test.  Nothing of the solver under test is shared with it.
 """
 
 import functools
@@ -14,7 +14,6 @@ import pytest
 
 import mmlab as M
 from mmlab import spectral
-from mmlab.jacobi import _round_robin
 
 pytestmark = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= 1e-18, reason="longdouble is not an 80-bit or wider type"
@@ -31,6 +30,25 @@ PURE_QUARTIC_COEFFS = (0.0, 0.0, 0.0, 0.0, 0.25)
 #: 3.4e-14 at basis 32 and 48; cold Jacobi under an absolute stop test missed X by up to
 #: 2.8e-10.
 X_TOL = 2e-12
+
+
+def _round_robin(n):
+    """Brent-Luk rounds of one sweep as disjoint ``(p, q)`` index arrays, ``p < q``.
+
+    Circle method: index 0 stays put while the others rotate one place per
+    round, and the k-th index of the order meets the k-th from its end.  For
+    odd n a dummy index n is added and its partner sits the round out.
+    """
+    m = n + n % 2
+    ring = np.arange(1, m)
+    rounds = []
+    for r in range(m - 1):
+        order = np.concatenate(([0], np.roll(ring, r)))
+        first, second = order[: m // 2], order[::-1][: m // 2]
+        p, q = np.minimum(first, second), np.maximum(first, second)
+        real = q < n
+        rounds.append((p[real], q[real]))
+    return rounds
 
 
 def _reference_jacobi(h, tol=LD(1e-19)):
