@@ -21,10 +21,12 @@ finite hermitian matrix:
   times a report's ``comm_diag`` is that state difference, 2 pi hbar away
   from the truncation edge.
 
-``full_report`` bundles all of the above per state, together with off-diagonal
-and truncation-edge diagnostics of the commutator.  It reads X and P from the
-diagonals a matrix pair stores, the frequencies from the N levels of a
-frequency table, and never forms XP - PX: one band kernel evaluates the
+Every evaluator reads X and P as stored diagonals (:class:`BandedMatrix`), a
+pair's ``xb`` and ``pb`` as they are and a dense argument converted once; only
+``commutator``, the dense oracle, forms matrices.  ``full_report`` bundles all
+of the above per state, together with off-diagonal and truncation-edge
+diagnostics of the commutator.  It reads the frequencies from the N levels of
+a frequency table and never forms XP - PX: one band kernel evaluates the
 entries of [X, P] the report needs, within the structural band b of X and P,
 at a cost of O(N b^2) plus one probe pass over the stored diagonals.  Each
 row's commutator diagonal is the per-state evaluator's value bit for bit.
@@ -47,6 +49,8 @@ from .spectral import (
     MatrixPair,
     SpectralSystem,
     _square,
+    _trimmed,
+    _trimmed_pair,
     matrix_bandwidth,
     to_amplitude_table,
     transition_frequencies,
@@ -65,6 +69,9 @@ def commutator(x, p) -> np.ndarray:
 def _check_window(n: int, size: int, alpha_max: int, freq: FrequencyTable | None = None) -> None:
     if freq is not None and freq.size != size:
         raise ValueError("position matrix and frequency table sizes disagree")
+    for name, value in (("state label", n), ("alpha_max", alpha_max)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if alpha_max < 0:
         raise ValueError("alpha_max must be nonnegative")
     if not 0 <= n < size:
@@ -88,49 +95,21 @@ def _product(a, b) -> np.ndarray:
     return out
 
 
-def _band(source, lo: int, hi: int, row: int, col: int) -> np.ndarray:
-    """Entries source(n + row, n + col) for n = lo..hi, read from one diagonal.
-
-    Pairs outside the matrix read as zero.  A :class:`BandedMatrix` reads its
-    stored diagonal.  An :class:`AmplitudeTable` source raises ValueError for
-    a pair inside the matrix that it did not record.  A
-    :class:`FrequencyTable` reads as the frequency w(n + row, n + col) =
-    e[n + row] - e[n + col] of its levels e, the scalar operation of
-    ``FrequencyTable.__getitem__``.
-    """
-    if isinstance(source, (BandedMatrix, AmplitudeTable)):
-        return source.diagonal(lo, hi, row, col)
-    if isinstance(source, FrequencyTable):
-        e = source.levels
-        out = np.zeros(hi - lo + 1)
-        # states n0..n1 put both labels inside the spectrum
-        n0, n1 = max(lo, -row, -col), min(hi, e.size - 1 - row, e.size - 1 - col)
-        if n1 >= n0:
-            out[n0 - lo : n1 - lo + 1] = e[n0 + row : n1 + row + 1] - e[n0 + col : n1 + col + 1]
-        return out
-    out = np.zeros(hi - lo + 1, dtype=source.dtype)
-    diagonal = np.diagonal(source, col - row)
-    start = lo + min(row, col)
-    first, stop = max(0, -start), min(out.size, diagonal.size - start)
-    if stop > first:
-        out[first:stop] = diagonal[start + first : start + stop]
-    return out
-
-
 def _frequency_sum(left, right, freq, mass, lo, hi, alpha_max) -> np.ndarray:
     """m * sum_a {L(n,n+a) R(n+a,n) w(n+a,n) - L(n,n-a) R(n-a,n) w(n,n-a)} for n = lo..hi.
 
-    Every state is one array lane read along the diagonals; ``left=None``
-    reads L(n, n+j) as conj(R(n+j, n)), and ``freq`` is a
-    :class:`FrequencyTable`.  Jumps run from -alpha_max to alpha_max and each
-    step adds the up term, then subtracts the down term, so every state is
-    rounded exactly as a scalar loop in that order would be.
+    Every state is one array lane read along the diagonals, each source through
+    its ``diagonal`` method; ``left=None`` reads L(n, n+j) as conj(R(n+j, n)).
+    Jumps run from -alpha_max to alpha_max and each step adds the up term, then
+    subtracts the down term, so every state is rounded exactly as a scalar loop
+    in that order would be.
     """
 
     def term(j, up):  # L(n, n+j) R(n+j, n) times w(n+j, n) (up) or w(n, n+j) (down)
-        r = _band(right, lo, hi, j, 0)
-        product = _product(r.conj() if left is None else _band(left, lo, hi, 0, j), r)
-        return _product(product, _band(freq, lo, hi, j, 0) if up else _band(freq, lo, hi, 0, j))
+        r = right.diagonal(lo, hi, j, 0)
+        product = _product(r.conj() if left is None else left.diagonal(lo, hi, 0, j), r)
+        w = freq.diagonal(lo, hi, j, 0) if up else freq.diagonal(lo, hi, 0, j)
+        return _product(product, w)
 
     total = np.zeros(hi - lo + 1, dtype=complex)
     for a in range(-alpha_max, alpha_max + 1):
@@ -142,19 +121,16 @@ def _frequency_sum(left, right, freq, mass, lo, hi, alpha_max) -> np.ndarray:
 def heisenberg_sum(source, freq: FrequencyTable, mass: float, n: int, alpha_max: int) -> float:
     """Frequency-weighted sum m * sum_a {|X(n+a,n)|^2 w(n+a,n) - |X(n-a,n)|^2 w(n,n-a)}.
 
-    ``source`` is either a matrix (entries read literally, conjugation is
-    complex conjugation of the stored entry) or an :class:`AmplitudeTable`
+    ``source`` is either a matrix, read as its stored diagonals (entries read
+    literally, conjugation of the stored entry), or an :class:`AmplitudeTable`
     (entries read through the recorded window; pairs outside the truncated
     matrix are zero, pairs inside the matrix but outside the window raise).
     Equals hbar on the oscillator; collapses to zero on reality-constrained
     tables whose amplitudes have lost their state dependence.
     """
-    if isinstance(source, AmplitudeTable):
-        size = source.size
-    else:
-        (source,) = _square(source)
-        size = source.shape[0]
-    _check_window(n, size, alpha_max, freq)
+    if not isinstance(source, AmplitudeTable):
+        source = _trimmed(source)
+    _check_window(n, source.size, alpha_max, freq)
     return float(_frequency_sum(None, source, freq, mass, n, n, alpha_max)[0].real)
 
 
@@ -165,9 +141,9 @@ def born_jordan_sum(x, freq: FrequencyTable, mass: float, n: int, alpha_max: int
     squared moduli and this agrees with :func:`modified_sum` exactly; the two
     diverge on non-hermitian input.
     """
-    (matrix,) = _square(x)
-    _check_window(n, matrix.shape[0], alpha_max, freq)
-    return float(_frequency_sum(matrix, matrix, freq, mass, n, n, alpha_max)[0].real)
+    xb = _trimmed(x)
+    _check_window(n, xb.size, alpha_max, freq)
+    return float(_frequency_sum(xb, xb, freq, mass, n, n, alpha_max)[0].real)
 
 
 def modified_sum(x, freq: FrequencyTable, mass: float, n: int, alpha_max: int) -> float:
@@ -176,12 +152,12 @@ def modified_sum(x, freq: FrequencyTable, mass: float, n: int, alpha_max: int) -
     The squared moduli implement X(n +- a, n) = conj(X(n, n +- a)); this is the
     reading under which the sum equals hbar for every interior state.
     """
-    return heisenberg_sum(_square(x)[0], freq, mass, n, alpha_max)
+    return heisenberg_sum(_trimmed(x), freq, mass, n, alpha_max)
 
 
 def _nearest_neighbor_values(x, mass, omega, lo, hi) -> np.ndarray:
-    up = _product(_band(x, lo, hi, 1, 0), _band(x, lo, hi, 1, 2))
-    down = _product(_band(x, lo, hi, -1, 0), _band(x, lo, hi, -1, -2))
+    up = _product(x.diagonal(lo, hi, 1, 0), x.diagonal(lo, hi, 1, 2))
+    down = _product(x.diagonal(lo, hi, -1, 0), x.diagonal(lo, hi, -1, -2))
     return _product(mass * omega, up - down)
 
 
@@ -193,14 +169,14 @@ def nearest_neighbor_rewrite(x, mass: float, omega: float, n: int) -> float:
     hbar/sqrt(2) at n = 0 and hbar*sqrt(6)/2 at n = 1, approaching hbar only
     for large n, which is the quantitative witness of its invalidity.
     """
-    (matrix,) = _square(x)
-    if matrix_bandwidth(matrix) > 1:
+    xb = _trimmed(x)
+    if matrix_bandwidth(xb) > 1:
         raise ValueError(
             "the nearest-neighbor rewrite is only defined for matrices whose "
             "entries beyond the first off-diagonal vanish"
         )
-    _check_window(n, matrix.shape[0], 0)
-    return float(_nearest_neighbor_values(matrix, mass, omega, n, n)[0].real)
+    _check_window(n, xb.size, 0)
+    return float(_nearest_neighbor_values(xb, mass, omega, n, n)[0].real)
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -214,30 +190,34 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
 _KERNEL_BLOCK = 1 << 16
 
 
-def _commutator_entries(xm, pm, reach: int, rows, cols) -> np.ndarray:
+def _commutator_entries(x: BandedMatrix, p: BandedMatrix, reach: int, rows, cols) -> np.ndarray:
     """[X, P](i, j) for the index arrays ``rows`` and ``cols``, with k within ``reach`` of i.
 
     Each entry is sum_k {X(i,k) P(k,j) - P(i,k) X(k,j)} over k = i - reach .. i + reach,
-    summed left to right from 0 with ``_product`` rounding.  Pairs off the matrix read
-    as zero.  Once X and P vanish beyond ``reach`` of the diagonal, every further k
-    adds an exact zero, which leaves such a sum unchanged bit for bit; entries farther
-    than 2 * reach from the diagonal are then exact zeros.
+    summed left to right from 0 with ``_product`` rounding.  Each factor is read from
+    the stored diagonals of X and P: X(i, k) and P(i, k) as ``rows(i, reach)``, X(k, j)
+    and P(k, j) as the slot (b + j - k, k).  Pairs off the matrix or beyond the stored
+    band read as zero.  Once X and P vanish beyond ``reach`` of the diagonal, every
+    further k adds an exact zero, which leaves such a sum unchanged bit for bit;
+    entries farther than 2 * reach from the diagonal are then exact zeros.
     """
-    size = xm.shape[0]
+    size = x.size
     shifts = np.arange(-reach, reach + 1)
     out = np.empty(len(rows), dtype=complex)
     step = max(1, _KERNEL_BLOCK // shifts.size)
     for start in range(0, len(rows), step):
-        i = rows[start : start + step, None]
+        i = rows[start : start + step]
         j = cols[start : start + step, None]
-        k = i + shifts
+        k = i[:, None] + shifts
         inside = (k >= 0) & (k < size)
         k = np.where(inside, k, 0)
 
-        def read(m, r, c):
-            return np.where(inside, m[r, c], 0j)
+        def column(m):  # M(k, j), zero off the matrix or beyond the band
+            offset = j - k
+            on = inside & (np.abs(offset) <= m.band)
+            return np.where(on, m.diagonals[np.where(on, m.band + offset, 0), k], 0j)
 
-        terms = _product(read(xm, i, k), read(pm, k, j)) - _product(read(pm, i, k), read(xm, k, j))
+        terms = _product(x.rows(i, reach), column(p)) - _product(p.rows(i, reach), column(x))
         out[start : start + step] = _ordered_sum(terms)
     return out
 
@@ -251,11 +231,11 @@ def commutator_diagonal_sum(x, p, n: int, alpha_max: int | None = None) -> compl
     rounding of the matrix product; a finite alpha_max gives the same value
     once it spans every nonzero band.
     """
-    xm, pm = _square(x, p)
-    size = xm.shape[0]
-    _check_window(n, size, alpha_max or 0)
-    reach = size - 1 if alpha_max is None else alpha_max
-    return complex(_commutator_entries(xm, pm, reach, np.array([n]), np.array([n]))[0])
+    xb, pb = _trimmed_pair(x, p)
+    _check_window(n, xb.size, 0 if alpha_max is None else alpha_max)
+    # every k farther from n than the stored bands adds an exact zero
+    reach = min(max(xb.band, pb.band), xb.size if alpha_max is None else alpha_max)
+    return complex(_commutator_entries(xb, pb, reach, np.array([n]), np.array([n]))[0])
 
 
 def loop_integral_diagonal(x, p, freq: FrequencyTable, n: int, period: float) -> complex:
@@ -266,13 +246,15 @@ def loop_integral_diagonal(x, p, freq: FrequencyTable, n: int, period: float) ->
     in time and the loop integral over an interval T is just T times the sum.
     For the oscillator over one period this reproduces 2 pi E_n / omega.
     """
-    xm, pm = _square(x, p)
-    _check_window(n, xm.shape[0], 0, freq)
+    xb, pb = _trimmed_pair(x, p)
+    _check_window(n, xb.size, 0, freq)
     if not (math.isfinite(period) and period > 0.0):
         raise ValueError(f"period must be finite and positive, got {period}")
-    w = freq[n, :]
-    # k = N-1 down to 0, the order of a loop over a = n - k from n - N + 1 to n
-    terms = _product(_product(_product(1j, w), pm[n, :]), xm[:, n])[::-1]
+    # k downward, the order of a loop over a = n - k upward; every k farther from n
+    # than the stored bands adds an exact zero, which leaves the sum bit for bit
+    reach = max(xb.band, pb.band)
+    k = np.arange(min(n + reach, xb.size - 1), max(n - reach, 0) - 1, -1)
+    terms = _product(_product(_product(1j, freq[n, k]), pb[n, k]), xb[k, n])
     return -period * complex(_ordered_sum(terms))
 
 

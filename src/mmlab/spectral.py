@@ -109,6 +109,16 @@ class FrequencyTable:
         i, j = key
         return np.subtract.outer(self.levels[i], self.levels[j])
 
+    def diagonal(self, lo: int, hi: int, row: int, col: int) -> np.ndarray:
+        """w(n + row, n + col) for n = lo..hi, rounded as ``freq[i, j]``; 0 off the spectrum."""
+        e = self.levels
+        out = np.zeros(hi - lo + 1)
+        # states n0..n1 put both labels inside the spectrum
+        n0, n1 = max(lo, -row, -col), min(hi, e.size - 1 - row, e.size - 1 - col)
+        if n1 >= n0:
+            out[n0 - lo : n1 - lo + 1] = e[n0 + row : n1 + row + 1] - e[n0 + col : n1 + col + 1]
+        return out
+
 
 def transition_frequencies(system: SpectralSystem) -> FrequencyTable:
     """Frequency table w(n, n') = (E_n - E_n') / hbar of a system.
@@ -233,15 +243,18 @@ class BandedMatrix:
             out[n0 - lo : n1 - lo + 1] = stored[n0 + row : n1 + row + 1]
         return out
 
+    def rows(self, index, reach: int) -> np.ndarray:
+        """M(i, i + d) at (i, reach + d) for the rows i of ``index``, |d| <= reach; 0 past b."""
+        b = min(reach, self.band)
+        stored = self.diagonals[self.band - b : self.band + b + 1, index].T
+        out = np.zeros((stored.shape[0], 2 * reach + 1), dtype=complex)
+        out[:, reach - b : reach + b + 1] = stored
+        return out
+
     def structural_band(self) -> int:
         """Largest |row - column| of a nonzero entry; 0 when M is diagonal or zero."""
         nonzero = np.flatnonzero(np.any(self.diagonals != 0, axis=1))
         return int(np.max(np.abs(nonzero - self.band), initial=0))
-
-
-def _as_banded(matrix) -> BandedMatrix:
-    """A :class:`BandedMatrix` as it is; a dense square matrix as all its diagonals."""
-    return matrix if isinstance(matrix, BandedMatrix) else BandedMatrix.from_dense(matrix)
 
 
 def _trimmed(matrix) -> BandedMatrix:
@@ -255,13 +268,21 @@ def _trimmed(matrix) -> BandedMatrix:
     return BandedMatrix.from_dense(m, int(np.max(np.abs(cols - rows), initial=0)))
 
 
+def _trimmed_pair(x, p) -> tuple[BandedMatrix, BandedMatrix]:
+    """X and P through :func:`_trimmed`; ValueError unless they are of one size."""
+    xb, pb = _trimmed(x), _trimmed(p)
+    if xb.size != pb.size:
+        raise ValueError(f"position and momentum sizes disagree: {xb.size} and {pb.size}")
+    return xb, pb
+
+
 def hermiticity_defect(matrix) -> float:
     """Frobenius norm of (M - M^dagger) divided by max(1, Frobenius norm of M).
 
     Read on the stored diagonals in O(N b), scaled so that no norm overflows;
     NaN when M has a NaN or infinite entry.
     """
-    m = _as_banded(matrix)
+    m = _trimmed(matrix)
     mirror = m.diagonals.ravel()[_adjoint_slots(m.band, m.size)].conj()
     return relative_defect(m.diagonals, mirror)
 
@@ -282,9 +303,7 @@ class MatrixPair:
     pb: BandedMatrix
 
     def __init__(self, x, p):
-        xb, pb = _trimmed(x), _trimmed(p)
-        if xb.size != pb.size:
-            raise ValueError(f"position and momentum sizes disagree: {xb.size} and {pb.size}")
+        xb, pb = _trimmed_pair(x, p)
         # not (defect <= tol): a NaN or infinite entry makes the defect NaN and fails
         if not hermiticity_defect(xb) <= HERMITICITY_TOL:
             raise ValueError("position matrix is not hermitian within tolerance")
@@ -340,17 +359,12 @@ def matrix_bandwidth(x, cutoff: float = BAND_CUTOFF, p=None):
     """
     if not cutoff > 0.0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    xb = _as_banded(x)
+    xb = _trimmed(x)
     reached = np.flatnonzero(np.any(np.abs(xb.diagonals) >= cutoff, axis=1))
     band = int(np.max(np.abs(reached - xb.band), initial=0))
     if p is None:
         return band
-    return band, max(xb.structural_band(), _as_banded(p).structural_band())
-
-
-def _pair_columns(window: tuple[int, int], alpha_max: int) -> np.ndarray:
-    # column n - alpha of X(n, n - alpha) on the (state, jump) grid
-    return np.arange(window[0], window[1] + 1)[:, None] - np.arange(-alpha_max, alpha_max + 1)
+    return band, max(xb.structural_band(), _trimmed(p).structural_band())
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,7 +417,9 @@ class AmplitudeTable:
 
     def present(self) -> np.ndarray:
         """Boolean (state, jump) grid of the pairs inside the matrix."""
-        cols = _pair_columns(self.window, self.alpha_max)
+        lo, hi = self.window
+        # column n - alpha of X(n, n - alpha) on the (state, jump) grid
+        cols = np.arange(lo, hi + 1)[:, None] - np.arange(-self.alpha_max, self.alpha_max + 1)
         return (cols >= 0) & (cols < self.size)
 
     def diagonal(self, lo: int, hi: int, row: int, col: int) -> np.ndarray:
@@ -437,16 +453,16 @@ class AmplitudeTable:
 def to_amplitude_table(x, window: tuple[int, int], alpha_max: int) -> AmplitudeTable:
     """Record X entries as transition amplitudes A(n, alpha) = X(n, n - alpha).
 
-    X is a dense matrix or a :class:`BandedMatrix`.
+    X is a dense matrix or a :class:`BandedMatrix`; jump column alpha slices diagonal -alpha.
     """
-    xm = x if isinstance(x, BandedMatrix) else _square(x)[0]
-    size = xm.shape[0]
+    xb = _trimmed(x)
     lo, hi = window
-    if not (0 <= lo <= hi <= size - 1):
-        raise ValueError(f"window {window} out of range for matrix size {size}")
-    cols = np.clip(_pair_columns(window, alpha_max), 0, size - 1)
-    amplitudes = xm[np.arange(lo, hi + 1)[:, None], cols]
-    return AmplitudeTable(window=(lo, hi), alpha_max=alpha_max, size=size, amplitudes=amplitudes)
+    if not (0 <= lo <= hi <= xb.size - 1):
+        raise ValueError(f"window {window} out of range for matrix size {xb.size}")
+    if alpha_max < 0:
+        raise ValueError("alpha_max must be nonnegative")
+    amps = xb.rows(slice(lo, hi + 1), alpha_max)[:, ::-1]
+    return AmplitudeTable(window=(lo, hi), alpha_max=alpha_max, size=xb.size, amplitudes=amps)
 
 
 def build_oscillator(constants: PhysicalConstants, size: int):

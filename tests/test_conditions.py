@@ -174,6 +174,69 @@ def test_negative_alpha_max_rejected(osc8_parts, evaluate):
         evaluate(pair.x, pair.p, freq, table)
 
 
+#: Every per-state evaluator, called on the 8-state oscillator at state n and jump alpha
+#: (evaluators without a jump ignore it).
+_PER_STATE_CALLS = {
+    "heisenberg_sum": lambda pair, freq, table, n, a: M.heisenberg_sum(pair.x, freq, 1.0, n, a),
+    "heisenberg_sum-table": lambda pair, freq, table, n, a: M.heisenberg_sum(
+        table, freq, 1.0, n, a
+    ),
+    "born_jordan_sum": lambda pair, freq, table, n, a: M.born_jordan_sum(pair.x, freq, 1.0, n, a),
+    "modified_sum": lambda pair, freq, table, n, a: M.modified_sum(pair.x, freq, 1.0, n, a),
+    "commutator_diagonal_sum": lambda pair, freq, table, n, a: M.commutator_diagonal_sum(
+        pair.x, pair.p, n, a
+    ),
+    "nearest_neighbor_rewrite": lambda pair, freq, table, n, a: M.nearest_neighbor_rewrite(
+        pair.x, 1.0, 1.0, n
+    ),
+    "loop_integral_diagonal": lambda pair, freq, table, n, a: M.loop_integral_diagonal(
+        pair.x, pair.p, freq, n, 1.0
+    ),
+    "loop_integral_state_difference": lambda pair, freq, table, n, a: (
+        M.loop_integral_state_difference(pair.x, pair.p, n)
+    ),
+}
+_JUMP_CALLS = ("heisenberg_sum", "heisenberg_sum-table", "born_jordan_sum", "modified_sum",
+               "commutator_diagonal_sum")
+
+
+@pytest.mark.parametrize(
+    "name, n, alpha",
+    [(name, n, 1) for name in _PER_STATE_CALLS for n in (2.0, 2.5, np.float64(2.0))]
+    + [(name, 2, alpha) for name in _JUMP_CALLS for alpha in (1.0, 1.5, np.float64(1.0))],
+)
+def test_non_integer_label_rejected(osc8_parts, name, n, alpha):
+    # a float label is the caller's error: ValueError, not a TypeError or IndexError from a read
+    _, pair, freq = osc8_parts
+    table = M.to_amplitude_table(pair.x, (0, 7), 1)
+    label = "state label" if isinstance(alpha, int) else "alpha_max"
+    with pytest.raises(ValueError, match=f"^{label} must be an integer, got"):
+        _PER_STATE_CALLS[name](pair, freq, table, n, alpha)
+
+
+@pytest.mark.parametrize("name", list(_PER_STATE_CALLS))
+def test_numpy_integer_labels_are_the_python_ints(osc8_parts, name):
+    _, pair, freq = osc8_parts
+    table = M.to_amplitude_table(pair.x, (0, 7), 1)
+    call = _PER_STATE_CALLS[name]
+    expected = repr(call(pair, freq, table, 2, 1))
+    assert repr(call(pair, freq, table, np.int64(2), np.int64(1))) == expected
+    assert repr(call(pair, freq, table, np.int32(2), np.int32(1))) == expected
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda x, p, freq: M.commutator_diagonal_sum(x, p, 1),
+     lambda x, p, freq: M.loop_integral_state_difference(x, p, 1),
+     lambda x, p, freq: M.loop_integral_diagonal(x, p, freq, 1, 1.0)],
+    ids=["commutator_diagonal_sum", "loop_integral_state_difference", "loop_integral_diagonal"],
+)
+def test_position_and_momentum_of_another_size_rejected(osc8_parts, call):
+    _, pair, freq = osc8_parts
+    with pytest.raises(ValueError, match="^position and momentum sizes disagree: 8 and 4$"):
+        call(pair.x, np.eye(4), freq)
+
+
 class TestImposeHeisenbergReality:
     def test_amplitudes_lose_state_dependence(self, osc8_parts):
         _, pair, _ = osc8_parts
@@ -383,6 +446,19 @@ class TestStateDifference:
 
 
 class TestFullReport:
+    @pytest.mark.parametrize("fixture", ["osc64", "quartic40"])
+    def test_reads_no_dense_matrix_and_no_entry_by_index(self, request, monkeypatch, fixture):
+        # the report reads X and P as stored diagonals only
+        system, pair = request.getfixturevalue(fixture)
+        expected = repr(M.full_report(system, pair))
+
+        def refuse(*args):
+            raise AssertionError("the report read a BandedMatrix entry by index or densely")
+
+        monkeypatch.setattr(M.BandedMatrix, "__getitem__", refuse)
+        monkeypatch.setattr(M.BandedMatrix, "dense", refuse)
+        assert repr(M.full_report(system, pair)) == expected
+
     def test_oscillator_report_values(self, osc64):
         system, pair = osc64
         report = M.full_report(system, pair)
@@ -528,6 +604,11 @@ class _DictAmplitudeTable:
                 f"amplitude for pair ({row},{col}) is outside the recorded window"
             ) from None
 
+    def diagonal(self, lo, hi, row, col):
+        # the band kernel's read, one dict lookup per state
+        values = [self.amplitude_for_pair(n + row, n + col) for n in range(lo, hi + 1)]
+        return np.array(values, dtype=complex)
+
 
 def _dict_to_amplitude_table(x, window, alpha_max):
     xm = np.asarray(x, dtype=complex)
@@ -571,19 +652,9 @@ def _dict_impose_heisenberg_reality(table):
     )
 
 
-_matrix_band = conditions._band
-
-
 def _window_sum(table, freq, mass, n, alpha):
     # the band kernel behind heisenberg_sum, on state n alone
     return conditions._frequency_sum(None, table, freq, mass, n, n, alpha)
-
-
-def _dict_band(source, lo, hi, row, col):
-    if isinstance(source, _DictAmplitudeTable):
-        values = [source.amplitude_for_pair(n + row, n + col) for n in range(lo, hi + 1)]
-        return np.array(values, dtype=complex)
-    return _matrix_band(source, lo, hi, row, col)
 
 
 def _outcome(call):
@@ -637,7 +708,7 @@ class TestTableBitIdenticalToDictReference:
         [pytest.param(*case, id="{}-{}-w{}:{}-a{}".format(case[0], case[1], *case[2], case[3]))
          for case in _table_cases()],
     )
-    def test_table_projection_and_sum(self, monkeypatch, size, kind, window, alpha):
+    def test_table_projection_and_sum(self, size, kind, window, alpha):
         x = _table_matrix(size, kind)
         rng = np.random.default_rng(size)
         energies = np.sort(rng.uniform(0.0, 5.0, size))
@@ -667,12 +738,10 @@ class TestTableBitIdenticalToDictReference:
                 _outcome(lambda: M.heisenberg_sum(table, freq, mass, n, alpha))
                 for n in range(size - alpha)
             ]
-            with monkeypatch.context() as patch:
-                patch.setattr(conditions, "_band", _dict_band)
-                expected = [
-                    _outcome(lambda: float(_window_sum(reference, freq, mass, n, alpha)[0].real))
-                    for n in range(size - alpha)
-                ]
+            expected = [
+                _outcome(lambda: float(_window_sum(reference, freq, mass, n, alpha)[0].real))
+                for n in range(size - alpha)
+            ]
             assert actual == expected
 
     def test_cases_cover_rejections_and_missing_pairs(self):

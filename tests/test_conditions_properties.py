@@ -161,23 +161,31 @@ def test_levels_read_bitwise_as_the_dense_frequency_table(case, alpha, period):
     p = M.momentum_from_position(x, freq, mass)
     assert np.array_equal(p, 1j * mass * w * x)
 
-    band = conditions._band
+    class DenseFrequencies:  # reads w(n + row, n + col) from w's diagonal col - row
+        size = w.shape[0]
 
-    def dense_band(source, lo, hi, row, col):  # a frequency table read through w's diagonals
-        return band(w if isinstance(source, M.FrequencyTable) else source, lo, hi, row, col)
+        def diagonal(self, lo, hi, row, col):
+            out = np.zeros(hi - lo + 1)
+            diagonal = np.diagonal(w, col - row)
+            start = lo + min(row, col)
+            first, stop = max(0, -start), min(out.size, diagonal.size - start)
+            if stop > first:
+                out[first:stop] = diagonal[start + first : start + stop]
+            return out
 
     table = M.to_amplitude_table(x, (0, size - 1), alpha)
     calls = [(M.heisenberg_sum, x), (M.heisenberg_sum, table), (M.born_jordan_sum, x),
              (M.modified_sum, x)]
 
-    def sums():
-        return [repr(f(source, freq, mass, n, alpha)) for f, source in calls
+    def sums(frequencies):
+        return [repr(f(source, frequencies, mass, n, alpha)) for f, source in calls
                 for n in range(size - alpha)]
 
-    actual = sums()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(conditions, "_band", dense_band)
-        assert actual == sums()
+    assert sums(freq) == sums(DenseFrequencies())
+    for row in range(-alpha - 1, alpha + 2):
+        for col in range(-alpha - 1, alpha + 2):
+            expected = DenseFrequencies().diagonal(0, size - 1, row, col)
+            assert freq.diagonal(0, size - 1, row, col).tobytes() == expected.tobytes()
     product, ordered_sum = conditions._product, conditions._ordered_sum
     for n in range(size):
         terms = product(product(product(1j, w[n]), p[n, :]), x[:, n])[::-1]
@@ -236,6 +244,33 @@ def test_report_commutator_fields_match_dense_and_per_state_evaluator(
         for k in range(system.size):
             total += x[n][k] * p[k][n] - p[n][k] * x[k][n]
         assert repr(expected) == repr(total)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=banded_pairs(), period=st.floats(0.1, 10.0))
+def test_every_evaluator_reads_the_pairs_own_storage_as_the_dense_matrices(case, period):
+    system, pair, alpha_max = case
+    size, mass = system.size, system.constants.mass
+    freq = M.transition_frequencies(system)
+    alpha = min(alpha_max or 1, size - 1)
+
+    def values(x, p):
+        out = []
+        for n in range(size - alpha):
+            out += [f(x, freq, mass, n, alpha)
+                    for f in (M.heisenberg_sum, M.born_jordan_sum, M.modified_sum)]
+            out.append(M.commutator_diagonal_sum(x, p, n, alpha))
+        for n in range(size):
+            out += [M.commutator_diagonal_sum(x, p, n), M.loop_integral_state_difference(x, p, n),
+                    M.loop_integral_diagonal(x, p, freq, n, period)]
+            if M.matrix_bandwidth(x) <= 1:
+                out.append(M.nearest_neighbor_rewrite(x, mass, 1.0, n))
+        table = M.to_amplitude_table(x, (0, size - 1), alpha)
+        out.append((table.window, table.alpha_max, table.size, table.amplitudes.tolist(),
+                    table.hermitian_consistent, table.heisenberg_real))
+        return repr(out)
+
+    assert values(pair.xb, pair.pb) == values(pair.x, pair.p)
 
 
 #: |trace [X, P]| of a potential report in units of N eps hbar: at most 1.33 was seen
