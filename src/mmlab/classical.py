@@ -15,11 +15,12 @@ that share a node count.  ``orbit_fourier`` takes such a sequence of
 energies; one energy is the one-row case of the same builder.  The same
 samples give the action: E - V = half^2 sin^2(phi) Q, so
 J = 2 m half^2 integral_0^pi sin^2(phi) / (dt/dphi) dphi, a trapezoidal sum
-on a smooth periodic integrand and so spectrally accurate.  ``orbit_period``,
-``action_direct``, ``orbit_fourier`` and ``quantize`` all read that rule;
-``quantize`` solves J(E) = n h + J0 by safeguarded Newton steps with
-dJ/dE = T(E).  Orbits start at the right turning point with zero velocity,
-which makes every Fourier coefficient real.
+on a smooth periodic integrand and so spectrally accurate.  A block of rules
+gives T and J for every row at once, ``periods()`` and ``actions()``;
+``orbit_period``, ``action_direct``, ``orbit_fourier`` and ``quantize`` all
+read them, and ``quantize`` solves J(E) = n h + J0 by safeguarded Newton
+steps with dJ/dE = T(E).  Orbits start at the right turning point with zero
+velocity, which makes every Fourier coefficient real.
 
 The potential owns V (see :class:`mmlab.spectral.PolynomialPotential`): its
 Horner terms of V and V' and its critical points are computed once, at
@@ -44,6 +45,7 @@ from .spectral import (
     PolynomialPotential,
     SpectralSystem,
     _horner,
+    _label,
     transition_frequencies,
 )
 
@@ -189,42 +191,6 @@ def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
-def _orbit_samples(top, block, mass, n):
-    """Points x_j = mid + half cos(pi j / n) and dt/dphi = sqrt(m / (2 Q(x_j))),
-    j = 0..n, a row per half orbit of ``block``, and, when Q <= 0 somewhere, a
-    mask of the rows where Q > 0 held at every point (None when it held everywhere).
-
-    The block's ``rate``, when set, is dt/dphi on the rule with n / 2
-    intervals, whose points are the even ones here, so only the odd points are
-    evaluated.  ``top`` is the leading Horner term of Q, V's own.
-    """
-    x = block.mid + block.half * _lobatto(n)[0]
-    rate = np.empty_like(x)
-    fresh = slice(None)
-    if block.rate is not None:
-        rate[:, ::2] = block.rate
-        fresh = slice(1, None, 2)
-    q = _horner(top, block.q_rest, x[:, fresh])
-    if isinstance(q, float):  # a quadratic V: Q is its leading coefficient
-        q = np.full(rate[:, fresh].shape, q)
-    ok = None
-    bad = q <= 0.0
-    if bad.any():  # the failed rows' rates are not read
-        ok = ~bad.any(axis=1)
-        q = np.where(bad, 1.0, q)
-    rate[:, fresh] = np.sqrt(mass / (2.0 * q))
-    return x, rate, ok
-
-
-def _cosine_series(rate) -> np.ndarray:
-    """Coefficients a_0..a_n of rate(phi) = sum_k a_k cos(k phi) from its n + 1 Lobatto
-    samples, a row per half orbit (a DCT-I through one real FFT of the even extension)."""
-    n = rate.shape[1] - 1
-    series = np.fft.rfft(np.concatenate((rate, rate[:, -2:0:-1]), axis=1)).real / n
-    series *= _lobatto(n)[2]  # halves a_0 and a_n
-    return series
-
-
 class _RuleBlock(NamedTuple):
     """Half orbits that share one node count n, a row each: the row's position in
     the energies asked for; the midpoint and half width of [x-, x+] as (k, 1)
@@ -248,59 +214,88 @@ class _RuleBlock(NamedTuple):
             *(None if a is None else a[keep] for a in samples),
         )
 
+    def periods(self) -> np.ndarray:
+        """T = 2 pi a_0 of each row, twice the half period."""
+        return 2.0 * (math.pi * self.series[:, 0])
 
-class _Failure:
-    """The first energy, in input order, whose orbit failed, and its exception:
-    what the one-energy calls, made in that order, would raise first."""
-
-    def __init__(self):
-        self.row, self.error = math.inf, None
-
-    def record(self, row: int, error: Exception) -> None:
-        if row < self.row:
-            self.row, self.error = row, error
+    def actions(self, mass: float) -> np.ndarray:
+        """J = 2 m half^2 (pi / n) sum_j sin^2(phi_j) / rate_j of each row, the
+        trapezoidal rule (its end terms are zero)."""
+        n = self.rate.shape[1] - 1
+        half = self.half[:, 0]
+        sin2 = _lobatto(n)[1]
+        return 2.0 * mass * half * half * (math.pi / n) * (sin2 / self.rate).sum(axis=1)
 
 
-def _orbit_rules(potential, energies, mass, failure: _Failure) -> tuple[list, list]:
+def _sample(top, block, mass, n, failures) -> _RuleBlock:
+    """``block`` on the rule with n intervals: the points x_j = mid + half cos(pi j / n),
+    the samples rate_j = sqrt(m / (2 Q(x_j))) of dt/dphi, j = 0..n, and their cosine
+    series a_0..a_n (a DCT-I through one real FFT of the even extension).  A row
+    with Q <= 0 at a point is recorded in the ``{row: exception}`` dict ``failures``
+    and dropped.
+
+    The block's ``rate``, when set, is dt/dphi on the rule with n / 2
+    intervals, whose points are the even ones here, so only the odd points are
+    evaluated.  ``top`` is the leading Horner term of Q, V's own.
+    """
+    x = block.mid + block.half * _lobatto(n)[0]
+    rate = np.empty_like(x)
+    fresh = slice(None)
+    if block.rate is not None:
+        rate[:, ::2] = block.rate
+        fresh = slice(1, None, 2)
+    q = _horner(top, block.q_rest, x[:, fresh])
+    if isinstance(q, float):  # a quadratic V: Q is its leading coefficient
+        q = np.full(rate[:, fresh].shape, q)
+    bad = q <= 0.0
+    if bad.any():
+        bad = bad.any(axis=1)
+        for row in block.rows[bad].tolist():
+            failures[row] = NumericalError("potential exceeds the energy inside the well")
+        block, x, rate, q = block.take(~bad), x[~bad], rate[~bad], q[~bad]
+    rate[:, fresh] = np.sqrt(mass / (2.0 * q))
+    series = np.fft.rfft(np.concatenate((rate, rate[:, -2:0:-1]), axis=1)).real / n
+    series *= _lobatto(n)[2]  # halves a_0 and a_n
+    return _RuleBlock(*block[:4], x, rate, series)
+
+
+def _orbit_rules(potential, energies, mass) -> tuple[list, list, dict]:
     """Chebyshev-Lobatto rules at ``energies``: the turning points (x-, x+) of each
-    energy up to the first whose solve failed, and the rules as blocks of rows
-    that converged at the same node count.
+    energy up to the first whose solve failed, the rules as blocks of rows that
+    converged at the same node count, and the failed rows as a
+    ``{row: exception}`` dict.
 
     Each row starts at ``ORBIT_START_NODES`` intervals and doubles until the
     upper half of the cosine series of dt/dphi is below ``ORBIT_TAIL_TOL`` of
     its largest sample; a converged row is frozen there, so every row is the
     rule its energy alone would build.  Turning points and Q come energy by
     energy.  An energy that fails (below the minimum, four turning points, Q <= 0
-    at a sample, or no convergence at ``ORBIT_MAX_NODES`` intervals) is recorded
-    in ``failure`` and has no row; no energy after a failed turning-point solve
-    is started.
+    at a sample, or no convergence at ``ORBIT_MAX_NODES`` intervals) has an
+    exception and no row; no energy after a failed turning-point solve is
+    started.  The first failure in input order, ``min(failures)``, is what the
+    one-energy calls, made in that order, would raise first.
     """
-    ends, columns = [], []
+    ends, columns, failures = [], [], {}
     for row, energy in enumerate(energies):
         try:
             x_lo, x_hi = turning_points(potential, energy)
         except (ValueError, NumericalError) as exc:
-            failure.record(row, exc)
+            failures[row] = exc
             break
         ends.append((x_lo, x_hi))
         q_rest = _gap_quotient(potential, energy, x_lo, x_hi)[1]
         columns.append((0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo), *q_rest))
     if not ends:
-        return ends, []
+        return ends, [], failures
     columns = np.array(columns).T[:, :, None]
     live = _RuleBlock(np.arange(len(ends)), columns[0], columns[1], columns[2:])
     top, blocks, n = potential.v_terms[0], [], ORBIT_START_NODES
     while True:
-        x, rate, ok = _orbit_samples(top, live, mass, n)
-        if ok is not None:
-            for row in live.rows[~ok]:
-                failure.record(row, NumericalError("potential exceeds the energy inside the well"))
-            live, x, rate = live.take(ok), x[ok], rate[ok]
-            if not live.rows.size:
-                break
-        series = _cosine_series(rate)
-        live = _RuleBlock(live.rows, live.mid, live.half, live.q_rest, x, rate, series)
-        done = np.abs(series[:, n // 2 :]).max(axis=1) <= ORBIT_TAIL_TOL * rate.max(axis=1)
+        live = _sample(top, live, mass, n, failures)
+        if not live.rows.size:
+            break
+        tail = np.abs(live.series[:, n // 2 :]).max(axis=1)
+        done = tail <= ORBIT_TAIL_TOL * live.rate.max(axis=1)
         if done.all():
             blocks.append(live)
             break
@@ -308,48 +303,23 @@ def _orbit_rules(potential, energies, mass, failure: _Failure) -> tuple[list, li
             blocks.append(live.take(done))
             live = live.take(~done)
         if n >= ORBIT_MAX_NODES:
-            for row in live.rows:
-                failure.record(row, NumericalError(
+            for row in live.rows.tolist():
+                failures[row] = NumericalError(
                     f"orbit rule at energy {energies[row]} did not converge with {n} intervals"
-                ))
+                )
             break
         n *= 2
-    return ends, blocks
+    return ends, blocks, failures
 
 
-class _OrbitRule(NamedTuple):
-    """One energy's converged half orbit: the half width of [x-, x+], and the samples
-    rate_j of dt/dphi at its Lobatto points with their cosine series."""
-
-    half: float
-    mass: float
-    rate: np.ndarray
-    series: np.ndarray
-
-    @property
-    def period(self) -> float:
-        """T = 2 pi a_0, twice the half period."""
-        return 2.0 * (math.pi * float(self.series[0]))
-
-    @property
-    def action(self) -> float:
-        """J = 2 m half^2 (pi / n) sum_j sin^2(phi_j) / rate_j, the trapezoidal rule
-        (its end terms are zero)."""
-        n = self.rate.size - 1
-        half = self.half
-        sin2 = _lobatto(n)[1]
-        return float(2.0 * self.mass * half * half * (math.pi / n) * np.sum(sin2 / self.rate))
-
-
-def _orbit_rule(potential, energy, mass) -> _OrbitRule:
-    """The rule at one energy, the one-row case of :func:`_orbit_rules`; raises what
-    that energy failed with."""
-    failure = _Failure()
-    _, blocks = _orbit_rules(potential, (energy,), mass, failure)
-    if failure.error is not None:
-        raise failure.error
+def _orbit_rule(potential, energy, mass) -> tuple[float, float]:
+    """The period and action at one energy, the one-row case of :func:`_orbit_rules`;
+    raises what that energy failed with."""
+    _, blocks, failures = _orbit_rules(potential, (energy,), mass)
+    if failures:
+        raise failures[0]
     (block,) = blocks
-    return _OrbitRule(float(block.half[0, 0]), mass, block.rate[0], block.series[0])
+    return block.periods().item(), block.actions(mass).item()
 
 
 def orbit_period(potential: PolynomialPotential, energy: float, mass: float) -> float:
@@ -358,7 +328,7 @@ def orbit_period(potential: PolynomialPotential, energy: float, mass: float) -> 
     Raises :class:`NumericalError` where the orbit rule does not converge.
     """
     _check_positive("mass", mass)
-    return _orbit_rule(potential, float(energy), mass).period
+    return _orbit_rule(potential, float(energy), mass)[0]
 
 
 def action_direct(potential: PolynomialPotential, energy: float, mass: float) -> float:
@@ -367,7 +337,7 @@ def action_direct(potential: PolynomialPotential, energy: float, mass: float) ->
     Raises :class:`NumericalError` where the orbit rule does not converge.
     """
     _check_positive("mass", mass)
-    return _orbit_rule(potential, float(energy), mass).action
+    return _orbit_rule(potential, float(energy), mass)[1]
 
 
 def _harmonic_rule(block):
@@ -392,30 +362,23 @@ def _harmonic_rule(block):
     return phase, weights
 
 
-def _harmonics(top, block, mass, alpha_max, failure: _Failure):
-    """X_0..X_alpha_max of each row of ``block`` as a (rows, alpha_max + 1) array, with
-    the block of the rows that produced them.  A harmonic a > n / 2 is summed on the
-    rules doubled until n >= 2 a, one real FFT for the block per doubling; a row
-    whose doubled rule meets Q <= 0 is recorded in ``failure`` and dropped."""
+def _harmonics(top, block, mass, failures, harmonics) -> None:
+    """X_0..X_alpha_max of each row of ``block``, written to row ``block.rows`` of the
+    (energies, alpha_max + 1) array ``harmonics``.  A harmonic a > n / 2 is summed
+    on the rules doubled until n >= 2 a, one real FFT for the block per doubling;
+    a row whose doubled rule meets Q <= 0 is recorded in ``failures`` and dropped."""
     n = block.rate.shape[1] - 1
     phase, weights = _harmonic_rule(block)
-    harmonics = np.empty((block.rows.size, alpha_max + 1))
-    for a in range(alpha_max + 1):
+    for a in range(harmonics.shape[1]):
         if n < 2 * a:  # n >= 2 (a - 1) held, so one doubling resolves harmonic a
             n *= 2
-            x, rate, ok = _orbit_samples(top, block, mass, n)
-            if ok is not None:
-                for row in block.rows[~ok]:
-                    failure.record(row, NumericalError("potential exceeds the energy inside the well"))
-                block, x, rate, harmonics = block.take(ok), x[ok], rate[ok], harmonics[ok]
-                if not block.rows.size:
-                    break
-            block = block._replace(x=x, rate=rate, series=_cosine_series(rate))
+            block = _sample(top, block, mass, n, failures)
+            if not block.rows.size:
+                return
             phase, weights = _harmonic_rule(block)
         cosines = np.cos(a * phase)
-        for i, row in enumerate(weights):  # one dot per row: a batched sum rounds differently
-            harmonics[i, a] = np.dot(row, cosines[i])
-    return harmonics, block
+        for row, w, c in zip(block.rows.tolist(), weights, cosines):
+            harmonics[row, a] = np.dot(w, c)  # one dot per row: a batched sum rounds differently
 
 
 def orbit_fourier(
@@ -433,13 +396,15 @@ def orbit_fourier(
     rule doubled until n >= 2 a, so X_a depends on a and the orbit only, never
     on ``alpha_max``.  Raises :class:`NumericalError` where the rule does not
     converge (on (x^2 - 1)^2, at 1e-6 above the barrier; 1e-5 still converges),
-    and ``ValueError`` for an ``alpha_max`` above ``ORBIT_MAX_NODES / 2``.
+    and ``ValueError`` for an ``alpha_max`` that is not an integer or lies above
+    ``ORBIT_MAX_NODES / 2``.
 
     ``energy`` is a float, or a nonempty 1-D sequence of them for a tuple of
     orbits, each bit-identical to the call at its energy alone: the rules are
     built together, a row per energy, and each row keeps its own node count.
     A failing energy raises what the calls in input order would raise first.
     """
+    alpha_max = _label("alpha_max", alpha_max)
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
     if alpha_max > ORBIT_MAX_NODES // 2:
@@ -449,29 +414,26 @@ def orbit_fourier(
     if not single and (np.ndim(energy) != 1 or len(energy) == 0):
         raise ValueError("energy must be a float or a nonempty 1-D sequence of floats")
     energies = (float(energy),) if single else tuple(map(float, energy))
-    failure, found = _Failure(), {}
-    top = potential.v_terms[0]
-    ends, blocks = _orbit_rules(potential, energies, mass, failure)
+    ends, blocks, failures = _orbit_rules(potential, energies, mass)
+    periods = np.empty(len(ends))
+    harmonics = np.empty((len(ends), alpha_max + 1))
     for block in blocks:
-        periods = {
-            row: 2.0 * (math.pi * a_0)
-            for row, a_0 in zip(block.rows.tolist(), block.series[:, 0].tolist())
-        }
-        harmonics, block = _harmonics(top, block, mass, alpha_max, failure)
-        for row, coefficients in zip(block.rows.tolist(), harmonics.tolist()):
-            found[row] = (periods[row], coefficients)
+        periods[block.rows] = block.periods()
+        _harmonics(potential.v_terms[0], block, mass, failures, harmonics)
+    periods, harmonics = periods.tolist(), harmonics.tolist()
+    first_failure = min(failures, default=None)
     orbits = []
     for row, energy in enumerate(energies):
-        if row == failure.row:
-            raise failure.error
-        (x_lo, x_hi), (period, coefficients) = ends[row], found[row]
+        if row == first_failure:
+            raise failures[row]
+        (x_lo, x_hi), coefficients = ends[row], harmonics[row]
         orbits.append(ClassicalOrbit(
             potential=potential,
             energy=energy,
             mass=mass,
             x_minus=x_lo,
             x_plus=x_hi,
-            period=period,
+            period=periods[row],
             alpha_max=alpha_max,
             fourier={a: complex(coefficients[abs(a)]) for a in range(-alpha_max, alpha_max + 1)},
         ))
@@ -536,6 +498,7 @@ def quantize(
     passed explicitly (0 for the bare rule, h/2 for the half-quantum shift).
     A zero target returns the potential minimum by convention.
     """
+    n = _label("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_positive("mass", mass)
@@ -552,8 +515,7 @@ def quantize(
     tolerance = 1e-12 * h
     energy, e_lo, e_hi = v_min + max(hbar, 1e-3), v_min, math.inf
     for iterations in range(1, 201):
-        rule = _orbit_rule(potential, energy, mass)
-        action = rule.action
+        period, action = _orbit_rule(potential, energy, mass)
         converged = abs(action - target) <= tolerance
         if converged or iterations == 200:
             break
@@ -561,7 +523,7 @@ def quantize(
             e_lo = energy
         else:
             e_hi = energy
-        energy -= (action - target) / rule.period
+        energy -= (action - target) / period
         if not e_lo < energy < e_hi:
             energy = 0.5 * (e_lo + e_hi)
     return QuantizationResult(
@@ -619,6 +581,7 @@ def correspondence_report(
     """
     if energy_rule not in ("state", "mean"):
         raise ValueError("energy_rule must be 'state' or 'mean'")
+    n, alpha_max = _label("state label", n), _label("alpha_max", alpha_max)
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
     if pair.size != system.size:

@@ -48,6 +48,7 @@ from .spectral import (
     FrequencyTable,
     MatrixPair,
     SpectralSystem,
+    _label,
     _square,
     _trimmed,
     _trimmed_pair,
@@ -66,12 +67,13 @@ def commutator(x, p) -> np.ndarray:
     return xm @ pm - pm @ xm
 
 
-def _check_window(n: int, size: int, alpha_max: int, freq: FrequencyTable | None = None) -> None:
+def _check_window(
+    n: int, size: int, alpha_max: int, freq: FrequencyTable | None = None
+) -> tuple[int, int]:
+    """The state label and alpha_max as Python ints, checked against the window."""
     if freq is not None and freq.size != size:
         raise ValueError("position matrix and frequency table sizes disagree")
-    for name, value in (("state label", n), ("alpha_max", alpha_max)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n, alpha_max = _label("state label", n), _label("alpha_max", alpha_max)
     if alpha_max < 0:
         raise ValueError("alpha_max must be nonnegative")
     if not 0 <= n < size:
@@ -80,6 +82,7 @@ def _check_window(n: int, size: int, alpha_max: int, freq: FrequencyTable | None
         raise ValueError(
             f"state {n} violates the evaluation window n <= {size - 1 - alpha_max}"
         )
+    return n, alpha_max
 
 
 def _product(a, b) -> np.ndarray:
@@ -130,7 +133,7 @@ def heisenberg_sum(source, freq: FrequencyTable, mass: float, n: int, alpha_max:
     """
     if not isinstance(source, AmplitudeTable):
         source = _trimmed(source)
-    _check_window(n, source.size, alpha_max, freq)
+    n, alpha_max = _check_window(n, source.size, alpha_max, freq)
     return float(_frequency_sum(None, source, freq, mass, n, n, alpha_max)[0].real)
 
 
@@ -142,7 +145,7 @@ def born_jordan_sum(x, freq: FrequencyTable, mass: float, n: int, alpha_max: int
     diverge on non-hermitian input.
     """
     xb = _trimmed(x)
-    _check_window(n, xb.size, alpha_max, freq)
+    n, alpha_max = _check_window(n, xb.size, alpha_max, freq)
     return float(_frequency_sum(xb, xb, freq, mass, n, n, alpha_max)[0].real)
 
 
@@ -175,7 +178,7 @@ def nearest_neighbor_rewrite(x, mass: float, omega: float, n: int) -> float:
             "the nearest-neighbor rewrite is only defined for matrices whose "
             "entries beyond the first off-diagonal vanish"
         )
-    _check_window(n, xb.size, 0)
+    n, _ = _check_window(n, xb.size, 0)
     return float(_nearest_neighbor_values(xb, mass, omega, n, n)[0].real)
 
 
@@ -232,9 +235,9 @@ def commutator_diagonal_sum(x, p, n: int, alpha_max: int | None = None) -> compl
     once it spans every nonzero band.
     """
     xb, pb = _trimmed_pair(x, p)
-    _check_window(n, xb.size, 0 if alpha_max is None else alpha_max)
+    n, jumps = _check_window(n, xb.size, 0 if alpha_max is None else alpha_max)
     # every k farther from n than the stored bands adds an exact zero
-    reach = min(max(xb.band, pb.band), xb.size if alpha_max is None else alpha_max)
+    reach = min(max(xb.band, pb.band), xb.size if alpha_max is None else jumps)
     return complex(_commutator_entries(xb, pb, reach, np.array([n]), np.array([n]))[0])
 
 
@@ -247,7 +250,7 @@ def loop_integral_diagonal(x, p, freq: FrequencyTable, n: int, period: float) ->
     For the oscillator over one period this reproduces 2 pi E_n / omega.
     """
     xb, pb = _trimmed_pair(x, p)
-    _check_window(n, xb.size, 0, freq)
+    n, _ = _check_window(n, xb.size, 0, freq)
     if not (math.isfinite(period) and period > 0.0):
         raise ValueError(f"period must be finite and positive, got {period}")
     # k downward, the order of a loop over a = n - k upward; every k farther from n
@@ -433,8 +436,7 @@ def full_report(
     mass = system.constants.mass
     hbar = system.constants.hbar
     band, reach = matrix_bandwidth(x, BAND_CUTOFF, p)
-    if alpha_max is None:
-        alpha_max = max(1, band)
+    alpha_max = max(1, band) if alpha_max is None else _label("alpha_max", alpha_max)
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")
     window_hi = size - 1 - alpha_max

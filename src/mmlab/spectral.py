@@ -450,13 +450,24 @@ class AmplitudeTable:
         return complex(self.diagonal(row, row, 0, col - row)[0])
 
 
+def _label(name: str, value) -> int:
+    """A state or jump label as a Python int; ValueError unless it is an integer.
+
+    A numpy integer is converted, so that unsigned arithmetic cannot wrap on it.
+    """
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def to_amplitude_table(x, window: tuple[int, int], alpha_max: int) -> AmplitudeTable:
     """Record X entries as transition amplitudes A(n, alpha) = X(n, n - alpha).
 
     X is a dense matrix or a :class:`BandedMatrix`; jump column alpha slices diagonal -alpha.
     """
     xb = _trimmed(x)
-    lo, hi = window
+    lo, hi = (_label("window label", label) for label in window)
+    alpha_max = _label("alpha_max", alpha_max)
     if not (0 <= lo <= hi <= xb.size - 1):
         raise ValueError(f"window {window} out of range for matrix size {xb.size}")
     if alpha_max < 0:

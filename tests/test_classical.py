@@ -1,5 +1,4 @@
 import math
-import types
 
 import numpy as np
 import pytest
@@ -278,8 +277,8 @@ class TestQuantize:
 
     def test_evaluation_cap_returns_unconverged(self, monkeypatch):
         # an action that never meets the target: 200 evaluations, then the last one
-        flat = types.SimpleNamespace(action=7.0, period=1.0)
-        monkeypatch.setattr(classical, "_orbit_rule", lambda potential, energy, mass: flat)
+        # the rule's (period, action)
+        monkeypatch.setattr(classical, "_orbit_rule", lambda potential, energy, mass: (1.0, 7.0))
         result = M.quantize(SHO, 1.0, 1.0, 0.0, 1)
         assert not result.converged
         assert (result.iterations, result.action) == (200, 7.0)
@@ -352,6 +351,59 @@ def test_orbit_integrals_reject_non_physical_mass(evaluate, mass):
 def test_numpy_float_energy_equals_the_python_float(evaluate):
     # the turning-point sign test once subtracted two numpy bools for a numpy energy
     assert evaluate(np.float64(2.0)) == evaluate(2.0)
+
+
+OSC8_SYSTEM, OSC8_PAIR = M.build_oscillator(M.PhysicalConstants(), 8)
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [float, np.float64, lambda k: k + 0.5, np.uint8, np.int64],
+    ids=["float", "float64", "fraction", "uint8", "int64"],
+)
+@pytest.mark.parametrize(
+    "evaluate, label, name",
+    [
+        (lambda k: M.orbit_fourier(SHO, 1.0, 1.0, k), 2, "alpha_max"),
+        (lambda k: M.quantize(SHO, 1.0, 1.0, 0.0, k), 2, "n"),
+        (lambda k: M.correspondence_report(OSC8_PAIR, OSC8_SYSTEM, SHO, 3, k), 2, "alpha_max"),
+        (lambda k: M.correspondence_report(OSC8_PAIR, OSC8_SYSTEM, SHO, k, 2), 3, "state label"),
+    ],
+    ids=["orbit_fourier", "quantize", "correspondence-alpha_max", "correspondence-n"],
+)
+def test_labels_are_integers_read_as_python_ints(evaluate, label, name, convert):
+    # a float label is the caller's error; a numpy integer one gives the int's result
+    value = convert(label)
+    if isinstance(value, np.integer):
+        assert repr(evaluate(value)) == repr(evaluate(label))
+    else:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            evaluate(value)
+
+
+def test_each_call_builds_its_orbit_rules_in_one_pass(monkeypatch):
+    # every rule of a call comes from one _orbit_rules call, and a quantize iterate
+    # reads both its action and its period off one rule
+    assert not hasattr(classical, "_OrbitRule") and not hasattr(classical, "_Failure")
+    true_rules, calls = classical._orbit_rules, []
+
+    def counting(potential, energies, mass):
+        calls.append(len(energies))
+        return true_rules(potential, energies, mass)
+
+    monkeypatch.setattr(classical, "_orbit_rules", counting)
+    for evaluate, expected in [
+        (lambda: M.orbit_period(PERTURBED, 1.0, 1.0), [1]),
+        (lambda: M.action_direct(PERTURBED, 1.0, 1.0), [1]),
+        (lambda: M.orbit_fourier(PERTURBED, 1.0, 1.0, 3), [1]),
+        (lambda: M.orbit_fourier(PERTURBED, [1.0, 2.0, 3.0], 1.0, 12), [3]),
+    ]:
+        calls.clear()
+        evaluate()
+        assert calls == expected
+    calls.clear()
+    result = M.quantize(PERTURBED, 1.0, 1.0, 0.0, 2)
+    assert result.iterations > 1 and calls == [1] * result.iterations
 
 
 def _ref_rows(pair, system, potential, n, alpha_max, energy_rule):

@@ -243,6 +243,29 @@ def test_newton_quantize_converges_in_few_iterations(potential, mass, hbar, half
     assert all(b > a for a, b in zip(energies, energies[1:]))
 
 
+@SETTINGS
+@given(
+    potential=convex_potentials(),
+    depths=st.lists(st.floats(1e-3, 50.0), min_size=2, max_size=6),
+    mass=st.floats(0.2, 5.0),
+)
+def test_block_periods_and_actions_are_the_one_energy_integrals(potential, depths, mass):
+    energies = [potential.minimum()[1] + d for d in depths]
+    _, blocks, failures = classical._orbit_rules(potential, energies, mass)
+    assert not failures
+    rows = {}
+    for block in blocks:
+        values = zip(block.rows.tolist(), block.periods().tolist(), block.actions(mass).tolist())
+        rows.update((row, (period, action)) for row, period, action in values)
+    assert sorted(rows) == list(range(len(energies)))
+    for row, energy in enumerate(energies):
+        alone = M.orbit_period(potential, energy, mass), M.action_direct(potential, energy, mass)
+        assert repr(rows[row]) == repr(alone)
+    orbits = M.orbit_fourier(potential, energies, mass, 2)
+    for orbit, energy in zip(orbits, energies):
+        assert repr(orbit.period) == repr(M.orbit_period(potential, energy, mass))
+
+
 def _orbit_key(orbit):
     """Every number of an orbit, as its repr: equal keys are bitwise-equal orbits."""
     fourier = tuple(repr(orbit.fourier[a]) for a in range(-orbit.alpha_max, orbit.alpha_max + 1))

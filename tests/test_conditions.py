@@ -224,6 +224,35 @@ def test_numpy_integer_labels_are_the_python_ints(osc8_parts, name):
     assert repr(call(pair, freq, table, np.int32(2), np.int32(1))) == expected
 
 
+@pytest.mark.parametrize("name", list(_PER_STATE_CALLS))
+def test_unsigned_labels_are_the_python_ints(osc8_parts, name):
+    # -alpha_max of an unsigned label would wrap around, emptying the jump loop
+    _, pair, freq = osc8_parts
+    table = M.to_amplitude_table(pair.x, (0, 7), 1)
+    call = _PER_STATE_CALLS[name]
+    assert repr(call(pair, freq, table, np.uint8(2), np.uint8(1))) == repr(
+        call(pair, freq, table, 2, 1)
+    )
+
+
+@pytest.mark.parametrize("alpha_max", [2.0, np.float64(2.0), 2.5])
+def test_full_report_rejects_a_non_integer_alpha_max(osc8_parts, alpha_max):
+    system, pair, _ = osc8_parts
+    with pytest.raises(ValueError, match="^alpha_max must be an integer, got"):
+        M.full_report(system, pair, alpha_max=alpha_max)
+
+
+@pytest.mark.parametrize(
+    "window, alpha_max, name",
+    [((0, 7), 1.0, "alpha_max"), ((0, 7), np.float64(1.0), "alpha_max"),
+     ((0.0, 7), 1, "window label"), ((0, 6.5), 1, "window label")],
+)
+def test_to_amplitude_table_rejects_non_integer_labels(osc8_parts, window, alpha_max, name):
+    _, pair, _ = osc8_parts
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        M.to_amplitude_table(pair.x, window, alpha_max)
+
+
 @pytest.mark.parametrize(
     "call",
     [lambda x, p, freq: M.commutator_diagonal_sum(x, p, 1),
