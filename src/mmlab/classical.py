@@ -20,7 +20,8 @@ gives T and J for every row at once, ``periods()`` and ``actions()``;
 ``orbit_period``, ``action_direct``, ``orbit_fourier`` and ``quantize`` all
 read them, and ``quantize`` solves J(E) = n h + J0 by safeguarded Newton
 steps with dJ/dE = T(E).  Orbits start at the right turning point with zero
-velocity, which makes every Fourier coefficient real.
+velocity, which makes every Fourier coefficient real and X_-a = X_a, so a
+:class:`ClassicalOrbit` holds X_0..X_alpha_max as one tuple of floats.
 
 The potential owns V (see :class:`mmlab.spectral.PolynomialPotential`): its
 Horner terms of V and V' and its critical points are computed once, at
@@ -55,6 +56,9 @@ ORBIT_MAX_NODES = 2**16
 #: The orbit rule has converged when the upper half of the cosine series of
 #: dt/dphi lies below this fraction of its largest sample.
 ORBIT_TAIL_TOL = 1e-14
+#: ``quantize`` also accepts an action this many ulps from its target: J(E) met it within 4
+#: ulps at best on 984 levels (four potentials, n = 100..1e5, hbar = 0.37, 1, 1.9).
+QUANTIZE_ULPS = 16
 #: Amplitudes below this fraction of the alpha = 1 amplitude are rounding noise:
 #: parity-forbidden jumps measured <= 3.3e-12 of it, allowed ones >= 1.5e-4.
 AMP_NOISE_FLOOR = 1e-10
@@ -68,11 +72,13 @@ def _check_positive(name: str, value: float) -> None:
 def turning_points(potential: PolynomialPotential, energy: float) -> tuple[float, float]:
     """Classical turning points x- < x+ with V(x) = E.
 
-    The energy must exceed the potential minimum.  At most two distinct real
+    The energy must be finite and exceed the potential minimum.  At most two distinct real
     solutions (counted from the critical values) are allowed: an above-barrier
     double well is fine, a below-barrier one (four turning points) is rejected.
     """
     energy = float(energy)  # a numpy scalar would make the sign tests numpy bools
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy}")
     x_min, v_min = potential.minimum()
     if not energy > v_min:
         raise ValueError(f"energy {energy} does not exceed the potential minimum {v_min}")
@@ -124,7 +130,8 @@ def turning_points(potential: PolynomialPotential, energy: float) -> tuple[float
 
 @dataclass(frozen=True)
 class ClassicalOrbit:
-    """One periodic orbit with its Fourier data x(t) = sum_a X_a exp(i a w t)."""
+    """One periodic orbit x(t) = sum_a X_a exp(i a w t); ``harmonics`` holds its real
+    coefficients X_0..X_alpha_max, which stand for X_-a = X_a as well."""
 
     potential: PolynomialPotential
     energy: float
@@ -132,8 +139,7 @@ class ClassicalOrbit:
     x_minus: float
     x_plus: float
     period: float
-    alpha_max: int
-    fourier: dict
+    harmonics: tuple[float, ...]
 
     def __post_init__(self):
         if not self.period > 0.0:
@@ -142,12 +148,13 @@ class ClassicalOrbit:
         for xt in (self.x_minus, self.x_plus):
             if abs(float(self.potential(xt)) - self.energy) > 1e-10 * scale:
                 raise ValueError("turning points do not match the orbit energy")
-        amp = max(abs(v) for v in self.fourier.values())
-        for a in range(self.alpha_max + 1):
-            if abs(self.fourier[a] - self.fourier[-a].conjugate()) > 1e-10 * max(amp, 1.0):
-                raise ValueError("Fourier coefficients violate conjugate symmetry")
-            if abs(self.fourier[a].imag) > 1e-8 * max(amp, 1.0):
-                raise ValueError("Fourier coefficients are not real in this phase convention")
+        if len(self.harmonics) < 2:
+            raise ValueError("an orbit holds at least the harmonics X_0 and X_1")
+
+    @property
+    def alpha_max(self) -> int:
+        """Highest harmonic held."""
+        return len(self.harmonics) - 1
 
     @property
     def omega(self) -> float:
@@ -156,7 +163,7 @@ class ClassicalOrbit:
 
     def momentum_fourier(self, alpha: int) -> complex:
         """Momentum coefficient P_a = i m a w X_a of p(t) = m dx/dt."""
-        return 1j * self.mass * alpha * self.omega * self.fourier[alpha]
+        return 1j * self.mass * alpha * self.omega * self.harmonics[abs(alpha)]
 
 
 def _gap_quotient(potential, energy, x_lo, x_hi) -> tuple[float, tuple[float, ...]]:
@@ -426,7 +433,7 @@ def orbit_fourier(
     for row, energy in enumerate(energies):
         if row == first_failure:
             raise failures[row]
-        (x_lo, x_hi), coefficients = ends[row], harmonics[row]
+        x_lo, x_hi = ends[row]
         orbits.append(ClassicalOrbit(
             potential=potential,
             energy=energy,
@@ -434,8 +441,7 @@ def orbit_fourier(
             x_minus=x_lo,
             x_plus=x_hi,
             period=periods[row],
-            alpha_max=alpha_max,
-            fourier={a: complex(coefficients[abs(a)]) for a in range(-alpha_max, alpha_max + 1)},
+            harmonics=tuple(harmonics[row]),
         ))
     return orbits[0] if single else tuple(orbits)
 
@@ -447,19 +453,18 @@ def action_from_fourier(orbit: ClassicalOrbit) -> float:
     below 1e-8 |X_1|.  An orbit with no harmonic content at all (no motion)
     has zero action.
     """
-    moving = max(abs(orbit.fourier[a]) for a in orbit.fourier if a != 0)
+    moving = max(abs(coeff) for coeff in orbit.harmonics[1:])
     if moving == 0.0:
         return 0.0
-    lead = abs(orbit.fourier[1])
-    if abs(orbit.fourier[orbit.alpha_max]) >= 1e-8 * lead:
+    if abs(orbit.harmonics[-1]) >= 1e-8 * abs(orbit.harmonics[1]):
         raise ValueError(
             "harmonic truncation test failed: increase alpha_max until the "
             "last retained coefficient is below 1e-8 of the fundamental"
         )
     total = 0.0
     for a in range(-orbit.alpha_max, orbit.alpha_max + 1):
-        coeff = orbit.fourier[a]
-        total += a * a * (coeff.real * coeff.real + coeff.imag * coeff.imag)
+        coeff = orbit.harmonics[abs(a)]
+        total += a * a * (coeff * coeff)
     return float(2.0 * math.pi * orbit.mass * orbit.omega * total)
 
 
@@ -489,10 +494,12 @@ def quantize(
     V_min + max(hbar, 1e-3); each one narrows the bracket (V_min, inf) to the
     side of the root it lies on, and a Newton step that leaves the bracket is
     replaced by its midpoint.  ``iterations`` counts the J(E) evaluations.
-    Converged means |J - (n h + J0)| <= 1e-12 h within 200 evaluations: a
-    hundredth of the 1e-10 h that the energy, once written with 15
-    significant digits, is checked against, so that rounding cannot carry a
-    converged level past that check.
+    Converged means |J - (n h + J0)| <= max(1e-12 h, 16 ulp(n h + J0)) within
+    200 evaluations.  1e-12 h is a hundredth of the 1e-10 h that the energy
+    written with 15 significant digits is checked against, so that rounding
+    cannot carry a converged level past that check; it governs while the target
+    is at most 281 h (ulp(x) <= 2^-52 x), up to n = 325 at hbar = 1.  Above,
+    it lies below the rounding of J(E) and ``QUANTIZE_ULPS`` ulps take over.
 
     ``offset`` is the undetermined additive constant J0 of the action rule,
     passed explicitly (0 for the bare rule, h/2 for the half-quantum shift).
@@ -512,7 +519,7 @@ def quantize(
         return QuantizationResult(
             n=n, energy=v_min, action=0.0, offset=offset, converged=True, iterations=0
         )
-    tolerance = 1e-12 * h
+    tolerance = max(1e-12 * h, QUANTIZE_ULPS * math.ulp(target))
     energy, e_lo, e_hi = v_min + max(hbar, 1e-3), v_min, math.inf
     for iterations in range(1, 201):
         period, action = _orbit_rule(potential, energy, mass)
@@ -604,10 +611,11 @@ def correspondence_report(
     rows = []
     for a, orbit in enumerate(orbits, start=1):
         q_amp = float(abs(pair.xb[n, n - a]))
-        c_amp = float(abs(orbit.fourier[a]))
+        c_amp = float(abs(orbit.harmonics[a]))
         q_freq = float(freq[n, n - a])
         c_freq = a * orbit.omega
-        noise = q_amp < AMP_NOISE_FLOOR * q_ref and c_amp < AMP_NOISE_FLOOR * abs(orbit.fourier[1])
+        lead = abs(orbit.harmonics[1])
+        noise = q_amp < AMP_NOISE_FLOOR * q_ref and c_amp < AMP_NOISE_FLOOR * lead
         rows.append(
             CorrespondenceRow(
                 n=n,

@@ -28,7 +28,7 @@ of the above per state, together with off-diagonal and truncation-edge
 diagnostics of the commutator.  It reads the frequencies from the N levels of
 a frequency table and never forms XP - PX: one band kernel evaluates the
 entries of [X, P] the report needs, within the structural band b of X and P,
-at a cost of O(N b^2) plus one probe pass over the stored diagonals.  Each
+at a cost of O(N b^2) plus probe passes over the stored diagonals.  Each
 row's commutator diagonal is the per-state evaluator's value bit for bit.
 """
 
@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .spectral import (
-    BAND_CUTOFF,
     AmplitudeTable,
     BandedMatrix,
     FrequencyTable,
@@ -421,9 +420,9 @@ def full_report(
     least 1).  Each formulation is one band pass over the whole window, in a
     fixed order, so identical inputs yield identical reports.  Frequencies are
     read from the levels of ``transition_frequencies(system)``, X and P from
-    the pair's stored diagonals.  [X, P] is never formed: one probe pass over
-    those diagonals finds the structural band b, beyond which X and P vanish
-    exactly, and one band kernel evaluates the diagonal of [X, P] over every
+    the pair's stored diagonals.  [X, P] is never formed: the larger of the
+    structural bands of X and P is b, beyond which both vanish exactly, and
+    one band kernel evaluates the diagonal of [X, P] over every
     state and its entries within min(2b, window end) of the diagonal over the
     window, at a cost of O(N b^2).  Each row's ``commutator_diag`` is
     ``commutator_diagonal_sum(X, P, n)`` bit for bit.  The rows come back as
@@ -435,7 +434,7 @@ def full_report(
     size = system.size
     mass = system.constants.mass
     hbar = system.constants.hbar
-    band, reach = matrix_bandwidth(x, BAND_CUTOFF, p)
+    band, reach = matrix_bandwidth(x), max(x.structural_band(), p.structural_band())
     alpha_max = max(1, band) if alpha_max is None else _label("alpha_max", alpha_max)
     if alpha_max < 1:
         raise ValueError("alpha_max must be at least 1")

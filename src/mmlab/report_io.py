@@ -166,7 +166,8 @@ def serialize_classical(
 
     Each item pairs a :class:`QuantizationResult` with the matching
     :class:`ClassicalOrbit`, or with None for the degenerate bottom-of-well
-    level, whose orbit columns come out as NaN.
+    level, whose orbit columns come out as NaN.  ValueError for an orbit with
+    fewer than the alpha_max + 1 harmonics of the ``fourier_<a>`` columns.
     """
     keys = CLASSICAL_ROW_KEYS_BASE + tuple(f"fourier_{a}" for a in range(alpha_max + 1))
     rows = []
@@ -174,8 +175,10 @@ def serialize_classical(
         if orbit is None:
             orbit_values = (math.nan,) * (len(keys) - 3)
         else:
+            if len(orbit.harmonics) <= alpha_max:
+                raise ValueError(f"level {result.n}: fewer than {alpha_max + 1} orbit harmonics")
             orbit_values = (orbit.period, orbit.omega, orbit.x_minus, orbit.x_plus)
-            orbit_values += tuple(orbit.fourier[a].real for a in range(alpha_max + 1))
+            orbit_values += orbit.harmonics[: alpha_max + 1]
         rows.append((result.n, result.energy, result.action) + orbit_values)
     return _encode(keys, list(zip(*rows)), fmt)
 

@@ -11,7 +11,8 @@ diagonals (:class:`BandedMatrix`): one (2b + 1, N) complex array each, whose
 slot (b + d, i) holds the entry (i, i + d) and whose slots past the matrix
 edge hold zeros.  b is 1 for the oscillator, which is built, checked and
 read in O(N); a dense input keeps the diagonals out to its farthest entry
-that is not +0, all N - 1 for a potential.  A frequency table stores only
+that is not +0, all N - 1 for a potential.  P is formed on the diagonals
+stored for X, whichever form X came in.  A frequency table stores only
 the N scaled levels e = E / hbar.  Amplitude tables re-index X entries by
 (state, jump) pairs, the format the condition evaluators reason about: one
 dense complex array, a row per recorded state n and a column per jump
@@ -327,44 +328,32 @@ class MatrixPair:
         return self.xb.size
 
 
-def momentum_from_position(x, freq: FrequencyTable, mass: float):
+def momentum_from_position(x, freq: FrequencyTable, mass: float) -> BandedMatrix:
     """Entrywise momentum matrix P(n, n') = i * mass * w(n, n') * X(n, n').
 
-    Dense for a dense X, and stored on the same diagonals for a
-    :class:`BandedMatrix`; every entry is the same floating-point expression.
-    Hermitian input X yields hermitian output because w is real antisymmetric.
+    X is a dense matrix or a :class:`BandedMatrix`; P is stored on the
+    diagonals that :func:`_trimmed` keeps of X.  Hermitian input X yields
+    hermitian output because w is real antisymmetric.
     """
-    banded = isinstance(x, BandedMatrix)
-    xm = x.diagonals if banded else _square(x)[0]
-    if xm.shape[1] != freq.size:
+    xb = _trimmed(x)
+    if xb.size != freq.size:
         raise ValueError("position matrix and frequency table sizes disagree")
     e = freq.levels
-    if banded:
-        cols, _ = _offsets(x.band, x.size)
-        w = e - e[cols]  # w(i, i + d) in slot (b + d, i)
-    else:
-        w = e[:, None] - e[None, :]
-    p = 1j * mass * w * xm
-    return BandedMatrix(p) if banded else p
+    cols, _ = _offsets(xb.band, xb.size)
+    w = e - e[cols]  # w(i, i + d) in slot (b + d, i)
+    return BandedMatrix(1j * mass * w * xb.diagonals)
 
 
-def matrix_bandwidth(x, cutoff: float = BAND_CUTOFF, p=None):
-    """Largest |row - column| carrying an entry of magnitude >= cutoff, on either side
-    of the diagonal; 0 when no off-diagonal entry reaches the cutoff.
+def matrix_bandwidth(x) -> int:
+    """Largest |row - column| carrying an entry of magnitude >= ``BAND_CUTOFF``, on
+    either side of the diagonal; 0 when no off-diagonal entry reaches it.
 
-    x and p are dense matrices or :class:`BandedMatrix`; the scan reads the
-    stored diagonals once.  Given ``p`` as well, it also returns the
-    structural band of the pair, the largest |row - column| at which x or p has
-    a nonzero entry: every entry of either beyond it is an exact zero.
+    x is a dense matrix or a :class:`BandedMatrix`; the scan reads the stored
+    diagonals once.
     """
-    if not cutoff > 0.0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
     xb = _trimmed(x)
-    reached = np.flatnonzero(np.any(np.abs(xb.diagonals) >= cutoff, axis=1))
-    band = int(np.max(np.abs(reached - xb.band), initial=0))
-    if p is None:
-        return band
-    return band, max(xb.structural_band(), _trimmed(p).structural_band())
+    reached = np.flatnonzero(np.any(np.abs(xb.diagonals) >= BAND_CUTOFF, axis=1))
+    return int(np.max(np.abs(reached - xb.band), initial=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,8 +616,7 @@ def build_from_potential(
             vectors[:, j] = -vectors[:, j]
     energies = evals[:keep]
     x_new = vectors.T @ x_aux @ vectors
-    x_new = 0.5 * (x_new + x_new.T)
+    x_new = _trimmed(0.5 * (x_new + x_new.T))
     system = SpectralSystem(constants=constants, energies=energies, kind="potential")
-    freq = transition_frequencies(system)
-    p_new = momentum_from_position(x_new, freq, m)
-    return system, MatrixPair(x=x_new.astype(complex), p=p_new)
+    p_new = momentum_from_position(x_new, transition_frequencies(system), m)
+    return system, MatrixPair(x=x_new, p=p_new)

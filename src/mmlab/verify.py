@@ -88,12 +88,12 @@ class _Lab:
         )
 
     def perturbed(self, system, pair):
-        """(X, w, P) of a built pair: X with the bump (if any), P rebuilt as i m w o X."""
+        """Dense (X, w, P) of a built pair: X with the bump (if any), P rebuilt as i m w o X."""
         x = np.array(pair.x, dtype=complex)
         if self.perturb:
             x[0, 1] += self.perturb
         freq = transition_frequencies(system)
-        return x, freq, momentum_from_position(x, freq, system.constants.mass)
+        return x, freq, momentum_from_position(x, freq, system.constants.mass).dense()
 
     def quartic_matrix_pair(self) -> MatrixPair:
         return MatrixPair(x=self.quartic_x, p=self.quartic_p)

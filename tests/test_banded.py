@@ -35,7 +35,7 @@ def test_banded_and_dense_pairs_serialize_the_same_bytes(size, constants, alpha_
     freq = M.transition_frequencies(system)
     # dense X and P as the pair used to hold them: P formed on the full N x N grid
     x = np.array(banded.x)
-    p = M.momentum_from_position(x, freq, system.constants.mass)
+    p = 1j * system.constants.mass * freq[:, :] * x
     expected = _report_bytes(system, banded, alpha_max, fmt)
     assert _report_bytes(system, M.MatrixPair(x=banded.x, p=banded.p), alpha_max, fmt) == expected
     assert _report_bytes(system, M.MatrixPair(x=x, p=p), alpha_max, fmt) == expected
@@ -45,7 +45,7 @@ def test_banded_and_dense_pairs_serialize_the_same_bytes(size, constants, alpha_
 
 def test_oscillator_momentum_is_the_dense_product_on_the_band():
     system, pair = M.build_oscillator(CONSTANTS["non-unit"], 40)
-    dense = M.momentum_from_position(pair.x, M.transition_frequencies(system), 1.37)
+    dense = 1j * 1.37 * M.transition_frequencies(system)[:, :] * pair.x
     # the same expression per entry: equal bit for bit, signed zeros included
     on_band = np.abs(np.subtract.outer(np.arange(40), np.arange(40))) <= 1
     assert pair.p[on_band].tobytes() == dense[on_band].tobytes()
@@ -88,7 +88,7 @@ def test_dense_views_round_trip_bitwise(case):
         b, stored = trimmed.band, banded.band
         assert b <= min(stored, pair.size - 1)
         assert trimmed.diagonals.tobytes() == banded.diagonals[stored - b : stored + b + 1].tobytes()
-    assert np.array_equal(pair.p, M.momentum_from_position(pair.x, freq, mass))
+    assert np.array_equal(pair.p, M.momentum_from_position(pair.x, freq, mass).dense())
 
 
 def test_dense_oscillator_pair_is_stored_as_three_diagonals():
@@ -153,7 +153,8 @@ class TestBandedMatrix:
         dense[4, 1] = 1.0
         dense[0, 2] = 1e-13
         assert M.matrix_bandwidth(M.BandedMatrix.from_dense(dense)) == 3
-        assert M.matrix_bandwidth(dense, 1e-12, dense) == (3, 3)
+        assert M.matrix_bandwidth(dense) == 3
+        assert M.BandedMatrix.from_dense(dense).structural_band() == 3
 
 
 def test_pair_sizes_must_agree():

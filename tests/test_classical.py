@@ -95,27 +95,29 @@ class TestOrbitPeriod:
 class TestOrbitFourier:
     def test_oscillator_is_a_pure_cosine(self):
         orbit = M.orbit_fourier(SHO, 2.0, 1.0, alpha_max=3)
-        assert orbit.fourier[1].real == pytest.approx(1.0, abs=1e-8)
-        assert orbit.fourier[-1].real == pytest.approx(1.0, abs=1e-8)
-        for a in (0, 2, -2, 3, -3):
-            assert abs(orbit.fourier[a]) <= 1e-8
+        assert orbit.harmonics[1] == pytest.approx(1.0, abs=1e-8)
+        for a in (0, 2, 3):
+            assert abs(orbit.harmonics[a]) <= 1e-8
 
     def test_symmetric_potential_kills_even_harmonics(self):
         orbit = M.orbit_fourier(PERTURBED, 2.0, 1.0, alpha_max=4)
-        assert abs(orbit.fourier[0]) <= 1e-8
-        assert abs(orbit.fourier[2]) <= 1e-8
-        assert abs(orbit.fourier[4]) <= 1e-8
-        assert abs(orbit.fourier[3]) > 1e-4
+        assert abs(orbit.harmonics[0]) <= 1e-8
+        assert abs(orbit.harmonics[2]) <= 1e-8
+        assert abs(orbit.harmonics[4]) <= 1e-8
+        assert abs(orbit.harmonics[3]) > 1e-4
 
     def test_conjugate_symmetry_asymmetric_well(self):
         lopsided = M.PolynomialPotential((0.0, 0.3, 0.5, 0.1, 0.05))
         orbit = M.orbit_fourier(lopsided, 1.5, 1.0, alpha_max=5)
+        # one real X_a stands for X_a and X_-a, so the symmetry holds by format
+        assert len(orbit.harmonics) == 6
+        assert all(type(coeff) is float for coeff in orbit.harmonics)
         for a in range(6):
-            assert abs(orbit.fourier[a] - orbit.fourier[-a].conjugate()) <= 1e-10
+            assert orbit.momentum_fourier(-a) == orbit.momentum_fourier(a).conjugate()
 
     def test_momentum_coefficients(self):
         orbit = M.orbit_fourier(SHO, 2.0, 1.0, alpha_max=2)
-        expected = 1j * 1.0 * orbit.omega * orbit.fourier[1]
+        expected = 1j * 1.0 * orbit.omega * orbit.harmonics[1]
         assert orbit.momentum_fourier(1) == pytest.approx(expected, abs=1e-12)
 
     def test_unconverged_rule_raises(self, monkeypatch):
@@ -136,14 +138,12 @@ class TestOrbitFourier:
     @pytest.mark.parametrize("energy", [1.001, 1.01])
     def test_near_barrier_orbit_is_returned(self, energy):
         # just above the barrier V(0) = 1 dt/dx peaks sharply at x = 0; the rule refines
-        # until it resolves the peak, and the orbit passes its realness and symmetry checks
+        # until it resolves the peak, and the orbit's harmonics are real
         orbit = M.orbit_fourier(DOUBLE_WELL, energy, 1.0, alpha_max=4)
-        for a in range(5):
-            assert orbit.fourier[-a] == orbit.fourier[a]
-            assert orbit.fourier[a].imag == 0.0
+        assert all(type(coeff) is float for coeff in orbit.harmonics)
         for a in (0, 2, 4):  # V is even
-            assert abs(orbit.fourier[a]) <= 1e-14
-        assert orbit.fourier[1].real > orbit.fourier[3].real > 0.0
+            assert abs(orbit.harmonics[a]) <= 1e-14
+        assert orbit.harmonics[1] > orbit.harmonics[3] > 0.0
 
     @pytest.mark.parametrize("potential, energy, period, action", NEAR_SINGULAR)
     def test_near_singular_orbits_match_30_digit_quadratures(
@@ -179,8 +179,8 @@ class TestExactReferences:
         potential = M.PolynomialPotential((0.0, 0.0, c2))
         orbit = M.orbit_fourier(potential, energy, mass, 40)
         tol = 1e-14 * max(1.0, amplitude)
-        for a, coeff in orbit.fourier.items():
-            assert abs(coeff - (0.5 * amplitude if abs(a) == 1 else 0.0)) <= tol
+        for a, coeff in enumerate(orbit.harmonics):
+            assert abs(coeff - (0.5 * amplitude if a == 1 else 0.0)) <= tol
         period = 2.0 * math.pi / math.sqrt(2.0 * c2 / mass)
         assert abs(orbit.period - period) <= 1e-14 * period
         assert abs(M.orbit_period(potential, energy, mass) - period) <= 1e-14 * period
@@ -196,8 +196,8 @@ class TestExactReferences:
         q = math.exp(-math.pi)
         orbit = M.orbit_fourier(PURE_QUARTIC, energy, 1.0, 15)
         tol = 1e-14 * max(1.0, amplitude)
-        for a, coeff in orbit.fourier.items():
-            n, odd = divmod(abs(a), 2)
+        for a, coeff in enumerate(orbit.harmonics):
+            n, odd = divmod(a, 2)
             expected = math.sqrt(2.0) * amplitude * math.pi / k * q ** (n + 0.5) / (
                 1.0 + q ** (2 * n + 1)
             ) if odd else 0.0
@@ -244,10 +244,22 @@ class TestActions:
             x_minus=0.0,
             x_plus=0.0,
             period=2.0 * math.pi,
-            alpha_max=2,
-            fourier={a: 0j for a in range(-2, 3)},
+            harmonics=(0.0, 0.0, 0.0),
         )
         assert M.action_from_fourier(still) == 0.0
+
+    @pytest.mark.parametrize("harmonics", [(), (1.0,)])
+    def test_orbit_holds_at_least_two_harmonics(self, harmonics):
+        with pytest.raises(ValueError, match="at least the harmonics X_0 and X_1"):
+            M.ClassicalOrbit(
+                potential=SHO,
+                energy=0.5,
+                mass=1.0,
+                x_minus=-1.0,
+                x_plus=1.0,
+                period=2.0 * math.pi,
+                harmonics=harmonics,
+            )
 
 
 class TestQuantize:
@@ -297,6 +309,41 @@ class TestQuantize:
             assert abs(result.action - (n * h + h / 2.0)) <= 1e-12 * h
             written = float(f"{result.energy:.15g}")
             assert abs(M.action_direct(potential, written, 1.0) - (n * h + h / 2.0)) <= 1e-10 * h
+
+    @pytest.mark.parametrize(
+        "coeffs, n",
+        [
+            ((0.0, 0.0, 0.5), 4096), ((0.0, 0.0, 0.5), 6000), ((0.0, 0.0, 0.5), 42170),
+            (QUARTIC_COEFFS, 5623), (QUARTIC_COEFFS, 7499), (QUARTIC_COEFFS, 13335),
+            (QUARTIC_COEFFS, 23714), ((0.0, 0.1, 0.5, -0.05, 0.1, 0.01, 0.005), 4217),
+            ((0.0, 0.1, 0.5, -0.05, 0.1, 0.01, 0.005), 5623),
+            ((0.0, 0.1, 0.5, -0.05, 0.1, 0.01, 0.005), 10000),
+            ((0.0, 0.1, 0.5, -0.05, 0.1, 0.01, 0.005), 13335),
+        ],
+    )
+    def test_large_levels_converge_within_the_rounding_of_the_action(self, coeffs, n):
+        # 1e-12 h lies below the rounding of J(E) at these levels: held to it alone,
+        # each ran 200 evaluations and came back unconverged
+        result = M.quantize(M.PolynomialPotential(coeffs), 1.0, 1.0, 0.0, n)
+        target = n * 2.0 * math.pi
+        assert result.converged and result.iterations < 200
+        assert abs(result.action - target) <= classical.QUANTIZE_ULPS * math.ulp(target)
+        if len(coeffs) == 3:
+            assert result.energy == pytest.approx(n, rel=1e-15)
+
+    @pytest.mark.parametrize("hbar", [0.37, 1.0, 1.9])
+    def test_stopping_bound_is_1e_12_h_up_to_281_h_then_16_ulps(self, monkeypatch, hbar):
+        h = 2.0 * math.pi * hbar
+
+        def converges(n, miss):
+            # an action that misses the level's target by ``miss`` at every energy
+            rule = lambda potential, energy, mass: (1.0, n * h + miss)
+            monkeypatch.setattr(classical, "_orbit_rule", rule)
+            return M.quantize(SHO, 1.0, hbar, 0.0, n).converged
+
+        assert converges(281, 0.9e-12 * h) and not converges(281, 1.1e-12 * h)
+        ulp = math.ulp(100000 * h)
+        assert converges(100000, 15 * ulp) and not converges(100000, 17 * ulp)
 
     def test_gaps_are_uniform(self):
         energies = [M.quantize(SHO, 1.0, 1.0, 0.0, n).energy for n in range(6)]
@@ -351,6 +398,30 @@ def test_orbit_integrals_reject_non_physical_mass(evaluate, mass):
 def test_numpy_float_energy_equals_the_python_float(evaluate):
     # the turning-point sign test once subtracted two numpy bools for a numpy energy
     assert evaluate(np.float64(2.0)) == evaluate(2.0)
+
+
+@pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda energy: M.turning_points(SHO, energy),
+        lambda energy: M.orbit_period(SHO, energy, 1.0),
+        lambda energy: M.action_direct(SHO, energy, 1.0),
+        lambda energy: M.orbit_fourier(SHO, energy, 1.0, 3),
+        lambda energy: M.orbit_fourier(SHO, [2.0, energy, -1.0], 1.0, 3),
+    ],
+    ids=["turning_points", "orbit_period", "action_direct", "orbit_fourier", "orbit_fourier-seq"],
+)
+def test_non_finite_energy_rejected(evaluate, energy):
+    with pytest.raises(ValueError, match=f"^energy must be finite, got {energy}$"):
+        evaluate(energy)
+
+
+def test_first_failing_energy_of_a_sequence_raises_first():
+    with pytest.raises(ValueError, match="^energy -1.0 does not exceed"):
+        M.orbit_fourier(SHO, [2.0, -1.0, math.inf], 1.0, 3)
+    with pytest.raises(ValueError, match="^energy must be finite, got nan$"):
+        M.orbit_fourier(SHO, [math.nan, -1.0], 1.0, 3)
 
 
 OSC8_SYSTEM, OSC8_PAIR = M.build_oscillator(M.PhysicalConstants(), 8)
@@ -418,11 +489,11 @@ def _ref_rows(pair, system, potential, n, alpha_max, energy_rule):
             e_star = 0.5 * (e_star + float(system.energies[n - a]))
         orbit = M.orbit_fourier(potential, e_star, system.constants.mass, alpha_max=a)
         q_amp = float(abs(pair.x[n, n - a]))
-        c_amp = float(abs(orbit.fourier[a]))
+        c_amp = float(abs(orbit.harmonics[a]))
         q_freq = float(w[n, n - a])
         c_freq = a * orbit.omega
         floor = classical.AMP_NOISE_FLOOR
-        noise = q_amp < floor * abs(pair.x[n, n - 1]) and c_amp < floor * abs(orbit.fourier[1])
+        noise = q_amp < floor * abs(pair.x[n, n - 1]) and c_amp < floor * abs(orbit.harmonics[1])
         rows.append(
             M.CorrespondenceRow(
                 n=n,
@@ -765,7 +836,7 @@ class TestBitIdenticalToPolyvalReference:
         orbit = M.orbit_fourier(ALL[name], energy, mass, alpha_max=4)
         _, _, period, ref = _ref_orbit_fourier(ALL[name], energy, mass, 4, rk_steps=16384)
         for a in range(-4, 5):
-            assert abs(orbit.fourier[a] - ref[a]) <= 1e-11
+            assert abs(orbit.harmonics[abs(a)] - ref[a]) <= 1e-11
         assert abs(orbit.period - period) <= 1e-10 * period
 
     @pytest.mark.parametrize("name, mass, n, offset", QUANTIZE_CASES)
@@ -807,7 +878,7 @@ def _classical_results():
         out.append(M.action_direct(ALL[name], energy, 1.0))
         out.append(M.orbit_period(ALL[name], energy, 2.0))
         orbit = M.orbit_fourier(ALL[name], energy, 0.5, alpha_max=4)
-        out.append((orbit.x_minus, orbit.x_plus, orbit.period, orbit.fourier))
+        out.append((orbit.x_minus, orbit.x_plus, orbit.period, orbit.harmonics))
     for name in sorted(CONVEX):
         result = M.quantize(CONVEX[name], 1.0, 1.0, math.pi, 1)
         out.append((result.energy, result.action, result.converged, result.iterations))

@@ -183,9 +183,7 @@ def test_orbit_harmonics_do_not_depend_on_alpha_max(potential, depth, mass, alph
     energy = potential.minimum()[1] + depth
     full = M.orbit_fourier(potential, energy, mass, 12)
     orbit = M.orbit_fourier(potential, energy, mass, alpha_max)
-    for a in range(-alpha_max, alpha_max + 1):
-        assert repr(orbit.fourier[a]) == repr(full.fourier[a])
-        assert repr(orbit.fourier[-a]) == repr(orbit.fourier[a])
+    assert repr(orbit.harmonics) == repr(full.harmonics[: alpha_max + 1])
     assert orbit.period == full.period
     reference = _deflated_period(potential, energy, mass)
     assert abs(orbit.period - reference) <= 1e-13 * reference
@@ -268,7 +266,7 @@ def test_block_periods_and_actions_are_the_one_energy_integrals(potential, depth
 
 def _orbit_key(orbit):
     """Every number of an orbit, as its repr: equal keys are bitwise-equal orbits."""
-    fourier = tuple(repr(orbit.fourier[a]) for a in range(-orbit.alpha_max, orbit.alpha_max + 1))
+    fourier = tuple(repr(coeff) for coeff in orbit.harmonics)
     return repr((orbit.energy, orbit.x_minus, orbit.x_plus, orbit.period, orbit.alpha_max)), fourier
 
 

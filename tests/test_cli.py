@@ -216,6 +216,17 @@ class TestOtherModes:
         row = lines[2].split(",")
         assert float(row[1]) == pytest.approx(1.0, abs=1e-8)
 
+    def test_classical_levels_past_the_action_rounding_converge(self, tmp_path):
+        # from n = 326 on, 1e-12 h lies below the rounding of J(E); level 4096 used to
+        # exit 3 with |J - target| = 7.276e-12 against that bound of 6.283e-12
+        out = tmp_path / "c.json"
+        code = run_cli(["classical", "--coeffs", "0,0,0.5", "--size", "6000",
+                        "--alpha-max", "1", "--out", str(out)])
+        assert code == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["n"] for row in rows] == list(range(6000))
+        assert all(row["energy"] == pytest.approx(row["n"], rel=1e-14) for row in rows)
+
     def test_classical_bottom_level_is_nan_row(self, tmp_path):
         out = tmp_path / "c.json"
         code = run_cli(["classical", "--coeffs", "0,0,0.5", "--size", "2",

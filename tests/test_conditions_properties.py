@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import mmlab as M
 from mmlab import conditions
-from test_classical_properties import convex_potentials
+from test_classical_properties import convex_potentials, double_wells
 
 unit = st.floats(-1.0, 1.0)
 scale = st.floats(0.5, 2.0)
@@ -158,8 +158,8 @@ def test_levels_read_bitwise_as_the_dense_frequency_table(case, alpha, period):
         assert np.array_equal(freq[i, :], w[i])
         for j in range(size):
             assert repr(freq[i, j]) == repr(w[i, j])
-    p = M.momentum_from_position(x, freq, mass)
-    assert np.array_equal(p, 1j * mass * w * x)
+    p = 1j * mass * w * x
+    assert np.array_equal(M.momentum_from_position(x, freq, mass).dense(), p)
 
     class DenseFrequencies:  # reads w(n + row, n + col) from w's diagonal col - row
         size = w.shape[0]
@@ -216,7 +216,7 @@ def banded_pairs(draw):
     x = hermitian(offsets <= band)
     if M.matrix_bandwidth(x) <= 1:
         x = x.real.astype(complex)  # the nearest-neighbor rewrite is real only on a real X
-    p = M.momentum_from_position(x, M.transition_frequencies(system), mass)
+    p = 1j * mass * M.transition_frequencies(system)[:, :] * x  # P on the full N x N grid
     if extra:
         p = p + hermitian((offsets > band) & (offsets <= band + extra))
     alpha_max = draw(st.one_of(st.none(), st.integers(1, max(1, size - 1))))
@@ -274,15 +274,29 @@ def test_every_evaluator_reads_the_pairs_own_storage_as_the_dense_matrices(case,
 
 
 #: |trace [X, P]| of a potential report in units of N eps hbar: at most 1.33 was seen
-#: over 300 generated potentials at keep 8-12.
+#: over 300 generated potentials at keep 8-12.  The trace sums the diagonal of [X, P], i hbar
+#: but for an edge entry near -(N - 1) i hbar, so sum_n |[X, P](n, n)| / 2 stands in for
+#: N hbar where it is larger: on an unconverged build the diagonal reaches 72 hbar at keep 8.
+#: In those units the trace reached at most 1.05 over 300 convex and 1.45 over 300
+#: double-well draws.
 TRACE_ULPS = 4
 
 
 @SETTINGS
-@given(potential=convex_potentials(), keep=st.integers(8, 12), mass=scale, hbar=scale)
+@given(
+    potential=st.one_of(convex_potentials(), double_wells()),
+    keep=st.integers(8, 12),
+    mass=scale,
+    hbar=scale,
+)
 def test_potential_report_eq14_is_eq25_and_its_trace_vanishes(potential, keep, mass, hbar):
     constants = M.PhysicalConstants(mass=mass, hbar=hbar)
-    report = M.full_report(*M.build_from_potential(potential, constants, 4 * keep, keep))
+    system, pair = M.build_from_potential(potential, constants, 4 * keep, keep)
+    report = M.full_report(system, pair)
     for row in report.rows:
         assert repr(row.eq14) == repr(row.eq25)
-    assert abs(report.trace_commutator) <= TRACE_ULPS * keep * np.finfo(float).eps * hbar
+        # the nearest-neighbor rewrite is reported exactly where X is tridiagonal
+        assert math.isnan(row.bj_alternative) == (M.matrix_bandwidth(pair.xb) > 1)
+    diagonal = sum(abs(M.commutator_diagonal_sum(pair.xb, pair.pb, n)) for n in range(keep))
+    scale = max(keep * hbar, diagonal / 2.0)
+    assert abs(report.trace_commutator) <= TRACE_ULPS * np.finfo(float).eps * scale

@@ -121,7 +121,7 @@ def _ref_serialize_classical(levels, alpha_max: int, fmt: str = "json") -> bytes
             "x_plus": orbit.x_plus if orbit else math.nan,
         }
         for a in range(alpha_max + 1):
-            record[f"fourier_{a}"] = orbit.fourier[a].real if orbit else math.nan
+            record[f"fourier_{a}"] = orbit.harmonics[a] if orbit else math.nan
         records.append(record)
     return _ref_serialize_rows(keys, records, fmt)
 
@@ -200,6 +200,14 @@ class TestBytesMatchReference:
         ]
         data = serialize_correspondence(reports, fmt)
         assert data == _ref_serialize_correspondence(reports, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_orbit_short_of_the_columns_rejected(self, fmt):
+        level = M.quantize(POTENTIALS["sho"], 1.0, 1.0, 0.0, 1)
+        orbit = M.orbit_fourier(POTENTIALS["sho"], level.energy, 1.0, alpha_max=2)
+        assert serialize_classical([(level, orbit)], 2, fmt)
+        with pytest.raises(ValueError, match="^level 1: fewer than 4 orbit harmonics$"):
+            serialize_classical([(level, orbit)], 3, fmt)
 
     def test_empty_inputs(self):
         report = ConditionReport(

@@ -115,7 +115,7 @@ def classical_levels(draw):
             orbit = SimpleNamespace(
                 period=draw(values), omega=draw(values), x_minus=draw(values),
                 x_plus=draw(values),
-                fourier={a: complex(draw(values), 0.0) for a in range(alpha_max + 1)},
+                harmonics=tuple(draw(values) for a in range(alpha_max + 1)),
             )
         levels.append((result, orbit))
     return alpha_max, levels
@@ -134,7 +134,7 @@ def test_classical_levels_round_trip(drawn):
         if orbit is None:
             rows.append(head + [math.nan] * (4 + alpha_max + 1))
         else:
-            fourier = [orbit.fourier[a].real for a in range(alpha_max + 1)]
+            fourier = [orbit.harmonics[a] for a in range(alpha_max + 1)]
             rows.append(head + [orbit.period, orbit.omega, orbit.x_minus, orbit.x_plus] + fourier)
     _json_rows_match(data, keys, rows)
     _csv_cells_match(serialize_classical(levels, alpha_max, "csv"), keys, rows)

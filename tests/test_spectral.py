@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mmlab as M
+from mmlab import spectral
 from mmlab.spectral import BAND_CUTOFF
 
 QUARTIC_COEFFS = (0.0, 0.0, 0.5, 0.0, 0.05)
@@ -128,7 +129,7 @@ class TestMomentumFromPosition:
         system = M.SpectralSystem(M.PhysicalConstants(), np.array([0.1, 0.9, 3.0]))
         freq = M.transition_frequencies(system)
         p = M.momentum_from_position(np.eye(3), freq, 2.0)
-        assert np.all(np.diag(p) == 0.0)
+        assert np.all(np.diag(p.dense()) == 0.0)
 
     def test_hermitian_input_gives_hermitian_output(self):
         rng = np.random.default_rng(5)
@@ -140,6 +141,21 @@ class TestMomentumFromPosition:
         freq = M.transition_frequencies(system)
         p = M.momentum_from_position(x, freq, 1.3)
         assert M.hermiticity_defect(p) <= 1e-15
+
+    def test_dense_position_gives_the_diagonals_trimmed_keeps(self):
+        x = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + np.diag([0.5] * 4, 1) + np.diag([0.5] * 4, -1)
+        x[0, 3] = x[3, 0] = -0.0  # a signed zero is stored, so the band reaches 3
+        system = M.SpectralSystem(M.PhysicalConstants(), np.array([0.1, 0.9, 3.0, 3.5, 7.0]))
+        freq = M.transition_frequencies(system)
+        p = M.momentum_from_position(x, freq, 1.7)
+        assert isinstance(p, M.BandedMatrix)
+        assert p.band == spectral._trimmed(x).band == 3
+        expected = 1j * 1.7 * freq[:, :] * x
+        on_band = np.abs(np.subtract.outer(np.arange(5), np.arange(5))) <= 3
+        assert p.dense()[on_band].tobytes() == expected[on_band].tobytes()
+        assert np.all(p.dense()[~on_band] == 0.0)
+        # a banded X keeps its own storage
+        assert M.momentum_from_position(M.BandedMatrix.from_dense(x), freq, 1.7).band == 4
 
     def test_shape_mismatch(self):
         system = M.SpectralSystem(M.PhysicalConstants(), np.array([0.5, 1.5]))
