@@ -495,11 +495,12 @@ def quantize(
     side of the root it lies on, and a Newton step that leaves the bracket is
     replaced by its midpoint.  ``iterations`` counts the J(E) evaluations.
     Converged means |J - (n h + J0)| <= max(1e-12 h, 16 ulp(n h + J0)) within
-    200 evaluations.  1e-12 h is a hundredth of the 1e-10 h that the energy
-    written with 15 significant digits is checked against, so that rounding
-    cannot carry a converged level past that check; it governs while the target
-    is at most 281 h (ulp(x) <= 2^-52 x), up to n = 325 at hbar = 1.  Above,
-    it lies below the rounding of J(E) and ``QUANTIZE_ULPS`` ulps take over.
+    200 evaluations.  1e-12 h, a hundredth of the 1e-10 h that the energy written
+    with 15 significant digits is checked against, governs while the target is
+    at most 281 h (ulp(x) <= 2^-52 x; n <= 325 at hbar = 1), so rounding cannot
+    carry such a level past that check.  Above, it lies below the rounding of
+    J(E) and ``QUANTIZE_ULPS`` ulps take over.  Past 28147 h those may exceed
+    1e-10 h (at hbar = 1 from n = 41722 on); there converged means within 16 ulps.
 
     ``offset`` is the undetermined additive constant J0 of the action rule,
     passed explicitly (0 for the bare rule, h/2 for the half-quantum shift).
